@@ -16,6 +16,7 @@ from .arc import (
     Merge,
     SentimentArc,
     WindowSummary,
+    arc_from_text,
     cluster_arcs,
     sentiment_series,
     smooth,
@@ -73,6 +74,7 @@ __all__ = [
     "SynthSpec",
     "WindowSummary",
     "analyze_corpus",
+    "arc_from_text",
     "cluster_arcs",
     "correlate",
     "default_window_sizes",

@@ -38,16 +38,12 @@ class AfaConfig:
     """Estimator settings.
 
     `window_sizes` of None derives a log-spaced schedule of odd windows
-    covering [5, N/4] from the series length at estimation time. With
-    `adaptive_order` each segment picks its own polynomial order in 1..3
-    by adjusted R^2 instead of using `poly_order` everywhere; this mode is
-    experimental and `poly_order` is ignored while it is on.
+    covering [5, N/4] from the series length at estimation time.
     """
 
     poly_order: int = 1
     window_sizes: tuple[int, ...] | None = None
     min_windows_for_fit: int = 5
-    adaptive_order: bool = False
 
     def __post_init__(self):
         if self.poly_order < 0:
@@ -141,25 +137,7 @@ def _segment_fits(segments: np.ndarray, w: int, order: int) -> np.ndarray:
     return coefs @ design.T
 
 
-def _adaptive_fits(segments: np.ndarray, w: int) -> np.ndarray:
-    """Per-segment order selection over 1..3 by adjusted R^2."""
-    candidates = []
-    scores = []
-    tss = ((segments - segments.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    for order in (1, 2, 3):
-        fitted = _segment_fits(segments, w, order)
-        rss = ((segments - fitted) ** 2).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = np.where(tss > 0, 1.0 - rss / np.where(tss > 0, tss, 1.0), 1.0)
-        adj = 1.0 - (1.0 - r2) * (w - 1) / (w - order - 1)
-        candidates.append(fitted)
-        scores.append(adj)
-    best = np.argmax(np.column_stack(scores), axis=1)
-    stacked = np.stack(candidates)
-    return stacked[best, np.arange(segments.shape[0]), :]
-
-
-def global_trend(u, w: int, order: int = 1, adaptive_order: bool = False) -> np.ndarray:
+def global_trend(u, w: int, order: int = 1) -> np.ndarray:
     """Smooth global trend of the profile at window size w.
 
     Overlapping segments are fitted independently; between the centers of
@@ -181,10 +159,7 @@ def global_trend(u, w: int, order: int = 1, adaptive_order: bool = False) -> np.
     n_regular = starts.size - 1 if anchored else starts.size
 
     segments = u[starts[:, None] + np.arange(w)[None, :]]
-    if adaptive_order:
-        fits = _adaptive_fits(segments, w)
-    else:
-        fits = _segment_fits(segments, w, order)
+    fits = _segment_fits(segments, w, order)
 
     v = np.empty(n_samples)
     v[: n + 1] = fits[0, : n + 1]
@@ -274,7 +249,7 @@ def estimate_hurst(series, config: AfaConfig | None = None) -> AfaResult:
     u = profile(x)
     points = []
     for w in windows:
-        v = global_trend(u, w, config.poly_order, config.adaptive_order)
+        v = global_trend(u, w, config.poly_order)
         f = fluctuation(u, v)
         if f > 0.0:
             points.append((float(np.log2(w)), float(np.log2(f))))

@@ -67,13 +67,11 @@ def sentiment_series(tokens: list[str], lexicon: Lexicon, story_id: str = "") ->
     0 for an empty token list.
     """
     n = len(tokens)
-    raw = np.empty(n, dtype=float)
-    hits = 0
-    for i, tok in enumerate(tokens):
-        if tok in lexicon:
-            hits += 1
-        raw[i] = lexicon.valence(tok)
-    coverage = hits / n if n else 0.0
+    found = list(map(lexicon.entries.get, tokens))
+    misses = found.count(None)
+    neutral = lexicon.neutral_value
+    raw = np.array([neutral if v is None else v for v in found], dtype=float)
+    coverage = (n - misses) / n if n else 0.0
     return SentimentArc(
         story_id=story_id, raw=raw, smooth=raw.copy(), coverage=coverage, n_tokens=n
     )
@@ -125,6 +123,20 @@ def smooth(arc: SentimentArc, fraction: float = 0.05) -> SentimentArc:
     return replace(arc, smooth=smoothed)
 
 
+def arc_from_text(
+    text: str, lexicon: Lexicon, story_id: str = "", smooth_fraction: float | None = None
+) -> SentimentArc:
+    """Tokenize `text` and score it into an arc.
+
+    With `smooth_fraction` a non-empty arc is smoothed as by :func:`smooth`;
+    without it `smooth` equals `raw`.
+    """
+    arc = sentiment_series(tokenize(text), lexicon, story_id=story_id)
+    if smooth_fraction is not None and arc.n_tokens >= 1:
+        arc = smooth(arc, smooth_fraction)
+    return arc
+
+
 RESAMPLE_POINTS = 100
 
 
@@ -135,7 +147,9 @@ def _cluster_shape(arc: SentimentArc, n_points: int = RESAMPLE_POINTS) -> np.nda
     grid = np.linspace(0.0, arc.n_tokens - 1, n_points)
     resampled = np.interp(grid, np.arange(arc.n_tokens), arc.smooth)
     sd = resampled.std()
-    if sd == 0.0:
+    # rounding in the mean leaves most constant arcs a tiny nonzero std,
+    # which would blow them up to a +-1 shape, so test constancy exactly
+    if sd == 0.0 or (resampled == resampled[0]).all():
         return np.zeros(n_points)
     return (resampled - resampled.mean()) / sd
 
@@ -145,9 +159,12 @@ def cluster_arcs(arcs: list[SentimentArc], k: int) -> tuple[dict[str, int], list
 
     Each smoothed arc is resampled to 100 points and z-normalized, so the
     grouping reflects shape rather than level or amplitude. Clusters are
-    merged by the minimum-variance (Ward) criterion; distance ties merge
-    the lexicographically smallest id pair, which makes the tree
-    deterministic regardless of input order.
+    merged by the minimum-variance (Ward) criterion. Merge costs within
+    1e-12 of the smallest count as tied, and ties merge the
+    lexicographically smallest id pair, which makes the tree deterministic
+    regardless of input order. A constant arc resamples to the all-zero
+    shape, equidistant from every z-normalized shape, so rounding alone
+    never decides which arc it joins.
 
     Returns a map story_id -> cluster index (clusters numbered 0..k-1 in
     order of their smallest member id) and the full merge list.
@@ -155,6 +172,7 @@ def cluster_arcs(arcs: list[SentimentArc], k: int) -> tuple[dict[str, int], list
     m = len(arcs)
     if not 1 <= k <= m:
         raise ValueError(f"need |arcs| >= k >= 1, got {m} arcs and k={k}")
+    arcs = sorted(arcs, key=lambda a: a.story_id)
     ids = [a.story_id for a in arcs]
     if len(set(ids)) != m:
         raise ValueError("duplicate story ids in clustering input")
@@ -162,47 +180,28 @@ def cluster_arcs(arcs: list[SentimentArc], k: int) -> tuple[dict[str, int], list
     shapes = np.array([_cluster_shape(a) for a in arcs])
     diff = shapes[:, None, :] - shapes[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
 
-    members: dict[int, list[str]] = {i: [ids[i]] for i in range(m)}
-    rep = {i: ids[i] for i in range(m)}  # smallest member id per cluster
-    sizes = {i: 1 for i in range(m)}
-    active = set(range(m))
+    # A merge keeps the lower slot, so slot i's smallest member is ids[i]
+    # and row-major order over slot pairs is id-pair order. d2 is symmetric
+    # and twice the Ward cost, so the first hit within 2e-12 of the minimum
+    # is the smallest tied id pair, with i < j.
+    owner = np.arange(m)
+    sizes = np.ones(m)
     merges: list[Merge] = []
-
     for _ in range(m - k):
-        best = None
-        for i in sorted(active):
-            for j in sorted(active):
-                if j <= i:
-                    continue
-                pair_ids = tuple(sorted((rep[i], rep[j])))
-                cand = (d2[i, j], pair_ids, i, j)
-                if best is None or cand[0] < best[0] or (cand[0] == best[0] and pair_ids < best[1]):
-                    best = cand
-        _, _, i, j = best
-        height = float(np.sqrt(d2[i, j]))
-        ni, nj = sizes[i], sizes[j]
-        merged_rep = min(rep[i], rep[j])
-        other = min(rep[i], rep[j]), max(rep[i], rep[j])
-        merges.append(Merge(a=other[0], b=other[1], height=height, size=ni + nj))
+        near = d2 <= d2.min() + 2e-12
+        i, j = divmod(int(np.argmax(near)), m)
+        ni, nj, dij = sizes[i], sizes[j], d2[i, j]
+        merges.append(Merge(a=ids[i], b=ids[j], height=float(np.sqrt(dij)), size=int(ni + nj)))
 
-        # Lance-Williams update for Ward linkage on squared distances.
-        for h in active:
-            if h in (i, j):
-                continue
-            nh = sizes[h]
-            d2_new = (
-                (ni + nh) * d2[h, i] + (nj + nh) * d2[h, j] - nh * d2[i, j]
-            ) / (ni + nj + nh)
-            d2[h, i] = d2[i, h] = d2_new
-        members[i] = members[i] + members[j]
-        rep[i] = merged_rep
+        # Lance-Williams update for Ward linkage on squared distances;
+        # retired slots stay at inf.
+        row = ((ni + sizes) * d2[i] + (nj + sizes) * d2[j] - sizes * dij) / (ni + nj + sizes)
+        d2[i] = d2[:, i] = row
+        d2[j] = d2[:, j] = np.inf
         sizes[i] = ni + nj
-        active.remove(j)
+        owner[owner == j] = i
 
-    clusters = sorted((rep[c], c) for c in active)
-    labels: dict[str, int] = {}
-    for index, (_, c) in enumerate(clusters):
-        for sid in members[c]:
-            labels[sid] = index
-    return labels, merges
+    _, labels = np.unique(owner, return_inverse=True)
+    return dict(zip(ids, labels.tolist())), merges

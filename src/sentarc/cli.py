@@ -92,7 +92,6 @@ def _afa_config(args) -> AfaConfig:
             poly_order=args.order,
             window_sizes=windows,
             min_windows_for_fit=args.min_windows_for_fit,
-            adaptive_order=args.per_segment_order,
         )
     except ValueError as exc:
         raise SentarcError(str(exc)) from exc
@@ -101,11 +100,6 @@ def _afa_config(args) -> AfaConfig:
 def _add_afa_flags(parser) -> None:
     parser.add_argument(
         "--order", type=int, default=1, help="polynomial order of the local fits (default 1)"
-    )
-    parser.add_argument(
-        "--per-segment-order",
-        action="store_true",
-        help="experimental: pick each segment's order in 1..3 by adjusted R^2",
     )
     parser.add_argument(
         "--windows",
@@ -133,23 +127,11 @@ def _add_afa_flags(parser) -> None:
     )
 
 
-def _story_values(args, text: str, story_id: str):
-    lexicon = load_lexicon(args.lexicon)
-    tokens = arc_mod.tokenize(text)
-    series = arc_mod.sentiment_series(tokens, lexicon, story_id=story_id)
-    if args.smoothed and series.n_tokens >= 1:
-        return arc_mod.smooth(series, args.smooth_fraction).smooth
-    return series.raw
-
-
 def _cmd_arc(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     text = _read_text(args.story)
     story_id = "stdin" if args.story == "-" else Path(args.story).stem
-    tokens = arc_mod.tokenize(text)
-    series = arc_mod.sentiment_series(tokens, lexicon, story_id=story_id)
-    if series.n_tokens >= 1:
-        series = arc_mod.smooth(series, args.smooth_fraction)
+    series = arc_mod.arc_from_text(text, lexicon, story_id, args.smooth_fraction)
     with _open_out(args.out) as fh:
         serialize.write_arc_csv(series, fh)
     if args.windows_out:
@@ -165,7 +147,10 @@ def _cmd_hurst(args) -> int:
     if args.story is not None:
         if not args.lexicon:
             raise SentarcError("a story input requires --lexicon")
-        values = _story_values(args, _read_text(args.story), Path(args.story).stem)
+        fraction = args.smooth_fraction if args.smoothed else None
+        values = arc_mod.arc_from_text(
+            _read_text(args.story), load_lexicon(args.lexicon), Path(args.story).stem, fraction
+        ).smooth
     else:
         values = _read_series(args.series)
     result = estimate_hurst(values, _afa_config(args))
@@ -272,13 +257,11 @@ def _cmd_cluster(args) -> int:
     stories = corpus_mod.load_corpus(args.corpus)
     arcs = []
     for story in stories:
-        series = arc_mod.sentiment_series(
-            arc_mod.tokenize(story.text), lexicon, story_id=story.id
-        )
+        series = arc_mod.arc_from_text(story.text, lexicon, story.id, args.smooth_fraction)
         if series.n_tokens < 2:
             log.warning("%s: %d tokens, too short to cluster, skipped", story.id, series.n_tokens)
             continue
-        arcs.append(arc_mod.smooth(series, args.smooth_fraction))
+        arcs.append(series)
     try:
         labels, merges = arc_mod.cluster_arcs(arcs, args.k)
     except ValueError as exc:

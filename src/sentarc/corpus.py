@@ -183,13 +183,10 @@ def _analyze_story(
     use_smoothed: bool,
     smooth_fraction: float,
 ) -> tuple[str, int, float, float | None, float | None, str]:
-    tokens = arc_mod.tokenize(story.text)
-    series = arc_mod.sentiment_series(tokens, lexicon, story_id=story.id)
-    values = series.raw
-    if use_smoothed and series.n_tokens >= 1:
-        values = arc_mod.smooth(series, smooth_fraction).smooth
+    fraction = smooth_fraction if use_smoothed else None
+    series = arc_mod.arc_from_text(story.text, lexicon, story.id, fraction)
     try:
-        result = estimate_hurst(values, config)
+        result = estimate_hurst(series.smooth, config)
     except SeriesTooShortError:
         return story.id, series.n_tokens, series.coverage, None, None, STATUS_TOO_SHORT
     except DegenerateSeriesError:

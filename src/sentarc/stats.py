@@ -72,14 +72,12 @@ def midranks(values) -> np.ndarray:
     """Ranks 1..n with ties assigned the mean of their covered ranks."""
     v = np.asarray(values, dtype=float)
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    # NaN != NaN, so each NaN ranks alone, after every number
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, v.size))
     ranks = np.empty(v.size, dtype=float)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
     return ranks
 
 

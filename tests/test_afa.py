@@ -157,13 +157,6 @@ def test_trend_rejects_window_longer_than_series():
         global_trend(np.arange(10.0), 11)
 
 
-def test_adaptive_order_exact_on_cubic():
-    x = np.arange(90.0)
-    u = 1e-4 * x**3 - 0.01 * x**2 + x
-    v = global_trend(u, 15, adaptive_order=True)
-    assert np.max(np.abs(v - u)) < 1e-6
-
-
 # -------------------------------------------------------------- fluctuation
 
 

@@ -333,6 +333,60 @@ def test_cluster_rejects_single_token_arc():
         cluster_arcs([arc_from_values([0.1], "a"), arc_from_values([0.2, 0.3], "b")], 1)
 
 
+@pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
+def test_constant_arc_has_zero_shape(level):
+    from sentarc.arc import _cluster_shape
+
+    assert _cluster_shape(arc_from_values([level] * 5)).tolist() == [0.0] * 100
+
+
+@st.composite
+def tie_heavy_arcs(draw):
+    """Arcs from a few base curves, with planted constant arcs (the zero
+    shape, equidistant from every other shape), affine copies of one base
+    (the same shape up to rounding) and shuffled input order."""
+    bases = draw(
+        st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=1, max_size=4)
+    )
+    variants = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(bases) - 1),
+                st.sampled_from([0.5, 1.0, 2.0]),
+                st.sampled_from([0.0, 0.05]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    levels = draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=1, max_size=3))
+    values = [offset + scale * np.asarray(bases[b]) / 20 for b, scale, offset in variants]
+    values += [[level] * 5 for level in levels]
+    ids = draw(
+        st.lists(
+            st.text("abc", min_size=1, max_size=3),
+            min_size=len(values),
+            max_size=len(values),
+            unique=True,
+        )
+    )
+    arcs = [arc_from_values(v, sid) for v, sid in zip(values, ids)]
+    return draw(st.permutations(arcs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_arcs())
+def test_cluster_matches_oracle_on_tie_heavy_arcs(arcs):
+    from sentarc.arc import _cluster_shape
+
+    shapes = [_cluster_shape(a) for a in arcs]
+    ids = [a.story_id for a in arcs]
+    for k in range(1, len(arcs) + 1):
+        labels, merges = cluster_arcs(arcs, k)
+        assert labels == ward_oracle(shapes, ids, k)
+        assert len(merges) == len(arcs) - k
+
+
 def test_cluster_order_independent():
     arcs = [
         linear_arc("a", 0.1, 0.9, jitter=0.05, seed=11),

@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sentarc
 from conftest import fgn_token_text, write_graded_lexicon_file, write_story
 from sentarc.cli import main
 
@@ -368,10 +371,15 @@ def test_help_documents_flags_and_columns(subcommand, needles, capsys):
 
 
 def test_console_entry_point_runs():
+    # run the package under test, wherever pytest found it
+    src = str(Path(sentarc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "sentarc", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "sentarc" in proc.stdout
