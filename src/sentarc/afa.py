@@ -141,9 +141,9 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
     """Smooth global trend of the profile at window size w.
 
     Overlapping segments are fitted independently; between the centers of
-    neighboring segments the two fits are cross-faded with
-    :func:`blend_weights`. Before the first center and after the last the
-    single covering fit is used as is. The final segment may be
+    neighboring segments the two fits are cross-faded with the linear
+    weights of :func:`blend_weights`. Before the first center and after the
+    last the single covering fit is used as is. The final segment may be
     right-anchored, in which case its blend region is shorter than n.
     """
     u = np.asarray(u, dtype=float)
@@ -155,24 +155,21 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
     n = (w - 1) // 2
     starts = segment_starts(n_samples, w)
     centers = starts + n
-    anchored = starts.size >= 2 and (starts[-1] - starts[-2]) != n
-    n_regular = starts.size - 1 if anchored else starts.size
 
     segments = u[starts[:, None] + np.arange(w)[None, :]]
     fits = _segment_fits(segments, w, order)
 
     v = np.empty(n_samples)
     v[: n + 1] = fits[0, : n + 1]
-    if n_regular >= 2:
-        g = np.arange(n, n_regular * n)
-        left = g // n - 1
-        frac = (g - (left + 1) * n) / n
-        v[g] = (1.0 - frac) * fits[left, g - left * n] + frac * fits[left + 1, g - (left + 1) * n]
-    if anchored:
-        step = int(starts[-1] - starts[-2])
-        w1, w2 = blend_weights(step)
-        g = np.arange(centers[-2], centers[-1] + 1)
-        v[g] = w1 * fits[-2, g - starts[-2]] + w2 * fits[-1, g - starts[-1]]
+    # row k blends fits k and k+1 at offsets j = 0..n-1 past center k; the
+    # steps between centers are n except before a right-anchored last
+    # segment, whose row is cut at its shorter step
+    steps = np.diff(centers)[:, None]
+    j = np.arange(n)
+    frac = j / steps
+    right = np.take_along_axis(fits[1:], n - steps + j, axis=1)
+    blend = (1.0 - frac) * fits[:-1, n : 2 * n] + frac * right
+    v[n : centers[-1]] = blend.ravel()[: centers[-1] - n]
     v[centers[-1] :] = fits[-1, centers[-1] - starts[-1] :]
     return v
 
@@ -216,12 +213,16 @@ def estimate_hurst(series, config: AfaConfig | None = None) -> AfaResult:
     least squares of log2 F(w) on log2 w. The slope is the estimate; the
     line's R^2 grades how well the scaling relation holds.
 
-    Raises SeriesTooShortError below 60 samples or when the largest
-    window exceeds the series, and DegenerateSeriesError when fewer than
-    `min_windows_for_fit` windows produce a nonzero residual (constant
-    input, for example).
+    Raises ValueError on NaN or infinite input, SeriesTooShortError below
+    60 samples or when the largest window exceeds the series, and
+    DegenerateSeriesError when fewer than `min_windows_for_fit` windows
+    produce a nonzero residual (constant input, for example).
     """
     x = np.asarray(series, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"non-finite value {x[first]} at index {first}")
     n_samples = x.size
     if config is None:
         config = AfaConfig()

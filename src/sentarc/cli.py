@@ -113,18 +113,45 @@ def _add_afa_flags(parser) -> None:
         metavar="K",
         help="minimum usable window count for the log-log fit (default 5)",
     )
-    parser.add_argument(
-        "--smoothed",
-        action="store_true",
-        help="estimate on the smoothed series instead of the raw one",
-    )
+
+
+def _add_smooth_flag(parser) -> None:
     parser.add_argument(
         "--smooth-fraction",
         type=float,
         default=0.05,
         metavar="F",
-        help="moving-average window as a fraction of series length (default 0.05)",
+        help="moving-average window as a fraction of story length (default 0.05)",
     )
+
+
+def _add_correlation_flags(parser, default_thresholds: str) -> None:
+    parser.add_argument(
+        "--min-ratings",
+        type=int,
+        action="append",
+        metavar="N",
+        help=f"keep stories with more than N ratings; repeatable (default: {default_thresholds})",
+    )
+    parser.add_argument(
+        "--dcor-permutations",
+        type=int,
+        nargs="?",
+        const=9999,
+        metavar="B",
+        help="permutation p-value for the distance correlation (default off; 9999 draws when enabled bare)",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="seed for permutation draws")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _cmd_arc(args) -> int:
@@ -147,10 +174,9 @@ def _cmd_hurst(args) -> int:
     if args.story is not None:
         if not args.lexicon:
             raise SentarcError("a story input requires --lexicon")
-        fraction = args.smooth_fraction if args.smoothed else None
         values = arc_mod.arc_from_text(
-            _read_text(args.story), load_lexicon(args.lexicon), Path(args.story).stem, fraction
-        ).smooth
+            _read_text(args.story), load_lexicon(args.lexicon), Path(args.story).stem
+        ).raw
     else:
         values = _read_series(args.series)
     result = estimate_hurst(values, _afa_config(args))
@@ -173,8 +199,6 @@ def _cmd_analyze(args) -> int:
         config=_afa_config(args),
         ratings=ratings,
         mapping=mapping,
-        use_smoothed=args.smoothed,
-        smooth_fraction=args.smooth_fraction,
         jobs=args.jobs,
     )
 
@@ -206,28 +230,45 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _optional(parse):
+    return lambda text: parse(text) if text else None
+
+
+# results.csv column -> parser of its text, in header order
+_RESULTS_FIELDS = {
+    "id": str,
+    "title": str,
+    "n_tokens": int,
+    "coverage": float,
+    "hurst": _optional(float),
+    "r_squared": _optional(float),
+    "avg_rating": _optional(float),
+    "n_ratings": _optional(int),
+    "sweet_spot": lambda text: text == "true",
+    "status": str,
+}
+
+
 def _records_from_results_csv(path: str) -> list[corpus_mod.StoryRecord]:
     text = _read_text(path)
     rows = list(csv.reader(text.splitlines()))
     if not rows or rows[0] != serialize.RESULTS_HEADER:
         raise SentarcError(f"{path}: not a results.csv (unexpected header)")
     records = []
-    for row in rows[1:]:
-        rec = dict(zip(serialize.RESULTS_HEADER, row))
-        records.append(
-            corpus_mod.StoryRecord(
-                id=rec["id"],
-                title=rec["title"],
-                n_tokens=int(rec["n_tokens"]),
-                coverage=float(rec["coverage"]),
-                hurst=float(rec["hurst"]) if rec["hurst"] else None,
-                r_squared=float(rec["r_squared"]) if rec["r_squared"] else None,
-                avg_rating=float(rec["avg_rating"]) if rec["avg_rating"] else None,
-                n_ratings=int(rec["n_ratings"]) if rec["n_ratings"] else None,
-                sweet_spot=rec["sweet_spot"] == "true",
-                status=rec["status"],
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(_RESULTS_FIELDS):
+            raise SentarcError(
+                f"{path}:{lineno}: expected {len(_RESULTS_FIELDS)} fields, got {len(row)}"
             )
-        )
+        fields = {}
+        for (name, parse), item in zip(_RESULTS_FIELDS.items(), row):
+            try:
+                fields[name] = parse(item)
+            except ValueError as exc:
+                raise SentarcError(f"{path}:{lineno}: {name}: {exc}") from None
+        records.append(corpus_mod.StoryRecord(**fields))
     return records
 
 
@@ -306,13 +347,7 @@ def build_parser() -> _Parser:
     )
     p_arc.add_argument("story", help="story text file, or - for stdin")
     p_arc.add_argument("--lexicon", required=True, help="tab-separated valence lexicon")
-    p_arc.add_argument(
-        "--smooth-fraction",
-        type=float,
-        default=0.05,
-        metavar="F",
-        help="moving-average window as a fraction of story length (default 0.05)",
-    )
+    _add_smooth_flag(p_arc)
     p_arc.add_argument(
         "--window", type=int, default=30, help="summary window in tokens (default 30)"
     )
@@ -324,8 +359,8 @@ def build_parser() -> _Parser:
         "hurst",
         help="estimate a series' Hurst exponent",
         description=(
-            "Estimate the Hurst exponent of a story's valence series or of a "
-            "one-column numeric CSV."
+            "Estimate the Hurst exponent of a story's raw valence series or of "
+            "a one-column numeric CSV."
         ),
         epilog=(
             "Output JSON fields: hurst (log-log slope), intercept, r_squared "
@@ -365,28 +400,13 @@ def build_parser() -> _Parser:
     p_analyze.add_argument("--ratings", required=True, help="CSV id,title,avg_rating,n_ratings")
     p_analyze.add_argument("--mapping", metavar="PATH", help="CSV file_id,ratings_id join aliases")
     p_analyze.add_argument("--out", required=True, help="output directory")
-    p_analyze.add_argument(
-        "--min-ratings",
-        type=int,
-        action="append",
-        metavar="N",
-        help="keep stories with more than N ratings; repeatable (default: 0 and 30)",
-    )
+    _add_correlation_flags(p_analyze, "0 and 30")
     p_analyze.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
-        help="parallel story analyses (default: logical cores)",
+        help="parallel story analyses, at least 1 (default: logical cores)",
     )
-    p_analyze.add_argument(
-        "--dcor-permutations",
-        type=int,
-        nargs="?",
-        const=9999,
-        metavar="B",
-        help="permutation p-value for the distance correlation (default off; 9999 draws when enabled bare)",
-    )
-    p_analyze.add_argument("--seed", type=int, default=0, help="seed for permutation draws")
     _add_afa_flags(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
@@ -401,22 +421,7 @@ def build_parser() -> _Parser:
         ),
     )
     p_corr.add_argument("--results", required=True, help="results.csv from analyze")
-    p_corr.add_argument(
-        "--min-ratings",
-        type=int,
-        action="append",
-        metavar="N",
-        help="keep stories with more than N ratings; repeatable (default: 30)",
-    )
-    p_corr.add_argument(
-        "--dcor-permutations",
-        type=int,
-        nargs="?",
-        const=9999,
-        metavar="B",
-        help="permutation p-value for the distance correlation (default off; 9999 draws when enabled bare)",
-    )
-    p_corr.add_argument("--seed", type=int, default=0, help="seed for permutation draws")
+    _add_correlation_flags(p_corr, "30")
     p_corr.add_argument("--out", default="-", help="JSON destination (default stdout)")
     p_corr.set_defaults(func=_cmd_correlate)
 
@@ -436,13 +441,7 @@ def build_parser() -> _Parser:
     p_cluster.add_argument("--corpus", required=True, help="directory of *.txt stories")
     p_cluster.add_argument("--lexicon", required=True, help="tab-separated valence lexicon")
     p_cluster.add_argument("--k", type=int, required=True, help="number of clusters")
-    p_cluster.add_argument(
-        "--smooth-fraction",
-        type=float,
-        default=0.05,
-        metavar="F",
-        help="moving-average window as a fraction of story length (default 0.05)",
-    )
+    _add_smooth_flag(p_cluster)
     p_cluster.add_argument("--out", default="-", help="labels CSV destination (default stdout)")
     p_cluster.add_argument("--tree-out", metavar="PATH", help="also write the merge tree CSV")
     p_cluster.set_defaults(func=_cmd_cluster)

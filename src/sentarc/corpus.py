@@ -177,16 +177,11 @@ def load_id_mapping(path) -> dict[str, str]:
 
 
 def _analyze_story(
-    story: Story,
-    lexicon: Lexicon,
-    config: AfaConfig,
-    use_smoothed: bool,
-    smooth_fraction: float,
+    story: Story, lexicon: Lexicon, config: AfaConfig
 ) -> tuple[str, int, float, float | None, float | None, str]:
-    fraction = smooth_fraction if use_smoothed else None
-    series = arc_mod.arc_from_text(story.text, lexicon, story.id, fraction)
+    series = arc_mod.arc_from_text(story.text, lexicon, story.id)
     try:
-        result = estimate_hurst(series.smooth, config)
+        result = estimate_hurst(series.raw, config)
     except SeriesTooShortError:
         return story.id, series.n_tokens, series.coverage, None, None, STATUS_TOO_SHORT
     except DegenerateSeriesError:
@@ -204,9 +199,9 @@ def _analyze_story(
 _WORKER_ARGS: tuple | None = None
 
 
-def _init_worker(lexicon, config, use_smoothed, smooth_fraction):
+def _init_worker(lexicon, config):
     global _WORKER_ARGS
-    _WORKER_ARGS = (lexicon, config, use_smoothed, smooth_fraction)
+    _WORKER_ARGS = (lexicon, config)
 
 
 def _run_worker(story: Story):
@@ -219,15 +214,16 @@ def analyze_corpus(
     config: AfaConfig | None = None,
     ratings: list[RatingRecord] | None = None,
     mapping: dict[str, str] | None = None,
-    use_smoothed: bool = False,
-    smooth_fraction: float = 0.05,
     jobs: int = 1,
 ) -> list[StoryRecord]:
     """Run the full pipeline over every story and join ratings by id.
 
-    One record per story, in corpus order; stories the estimator rejects
-    carry a null Hurst and a reason code instead of being dropped. Raises
-    CorpusError only when not a single story yields an estimate.
+    Each story's Hurst exponent is estimated on its raw valence series,
+    over `jobs` worker processes when `jobs` > 1. `mapping` maps file ids
+    to rating ids where they differ. One record per story, in corpus
+    order; stories the estimator rejects carry a null Hurst and a reason
+    code instead of being dropped. Raises CorpusError only when not a
+    single story yields an estimate.
     """
     config = config or AfaConfig()
     ratings = ratings or []
@@ -238,14 +234,11 @@ def analyze_corpus(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(lexicon, config, use_smoothed, smooth_fraction),
+            initargs=(lexicon, config),
         ) as pool:
             raw_results = list(pool.map(_run_worker, corpus, chunksize=4))
     else:
-        raw_results = [
-            _analyze_story(s, lexicon, config, use_smoothed, smooth_fraction)
-            for s in corpus
-        ]
+        raw_results = [_analyze_story(s, lexicon, config) for s in corpus]
 
     records = []
     for story, (sid, n_tokens, coverage, hurst, r_squared, status) in zip(

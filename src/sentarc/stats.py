@@ -100,10 +100,9 @@ def kendall_tau(x, y) -> tuple[float, float]:
     """
     xa, ya = _validated_pair(x, y)
     n = xa.size
-    dx = np.sign(xa[:, None] - xa[None, :])
-    dy = np.sign(ya[:, None] - ya[None, :])
-    upper = np.triu_indices(n, k=1)
-    s = float(np.sum(dx[upper] * dy[upper]))
+    # each pair counts twice and the diagonal is zero; every partial sum
+    # is an integer below 2**53, so the halved total is exact
+    s = float(np.vdot(np.sign(xa[:, None] - xa), np.sign(ya[:, None] - ya))) / 2
 
     n0 = n * (n - 1) / 2.0
     tx = _tie_sizes(xa)
@@ -138,22 +137,35 @@ def _centered_distances(values: np.ndarray) -> np.ndarray:
     return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
 
 
+def _dcor_kernel(x, y):
+    """Centered distance matrix `b` of y, and a function giving the
+    distance correlation of x with `b` or with `b` permuted on rows and
+    columns alike; the function is None when either input has zero
+    distance variance (a constant sequence)."""
+    xa, ya = _validated_pair(x, y)
+    a = _centered_distances(xa)
+    b = _centered_distances(ya)
+    dvar_x = float(np.mean(a * a))
+    dvar_y = float(np.mean(b * b))
+    if dvar_x == 0.0 or dvar_y == 0.0:
+        return b, None
+    scale = math.sqrt(dvar_x * dvar_y)
+
+    def dcor(b_mat: np.ndarray) -> float:
+        ratio = float(np.mean(a * b_mat)) / scale
+        return math.sqrt(min(max(ratio, 0.0), 1.0))
+
+    return b, dcor
+
+
 def distance_correlation(x, y) -> float:
     """Sample distance correlation from doubly-centered distance matrices.
 
     Lies in [0, 1]; returns 0 when either input has zero distance
     variance (a constant sequence).
     """
-    xa, ya = _validated_pair(x, y)
-    a = _centered_distances(xa)
-    b = _centered_distances(ya)
-    dcov2 = float(np.mean(a * b))
-    dvar_x = float(np.mean(a * a))
-    dvar_y = float(np.mean(b * b))
-    if dvar_x == 0.0 or dvar_y == 0.0:
-        return 0.0
-    ratio = dcov2 / math.sqrt(dvar_x * dvar_y)
-    return math.sqrt(min(max(ratio, 0.0), 1.0))
+    b, dcor = _dcor_kernel(x, y)
+    return 0.0 if dcor is None else dcor(b)
 
 
 def distance_correlation_test(
@@ -164,27 +176,17 @@ def distance_correlation_test(
     Permutes y `permutations` times under a fixed seed and reports
     (1 + #{dcor_perm >= dcor}) / (1 + permutations).
     """
-    xa, ya = _validated_pair(x, y)
-    a = _centered_distances(xa)
-    b = _centered_distances(ya)
-    dvar_x = float(np.mean(a * a))
-    dvar_y = float(np.mean(b * b))
-    if dvar_x == 0.0 or dvar_y == 0.0:
+    b, dcor = _dcor_kernel(x, y)
+    if dcor is None:
         return 0.0, 1.0
-    scale = math.sqrt(dvar_x * dvar_y)
-
     # Double centering commutes with a simultaneous row/column permutation,
     # and the distance variances are permutation-invariant, so only the
     # cross term changes per draw.
-    def _dcor(b_mat: np.ndarray) -> float:
-        ratio = float(np.mean(a * b_mat)) / scale
-        return math.sqrt(min(max(ratio, 0.0), 1.0))
-
-    observed = _dcor(b)
+    observed = dcor(b)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(permutations):
-        perm = rng.permutation(ya.size)
-        if _dcor(b[np.ix_(perm, perm)]) >= observed:
+        perm = rng.permutation(b.shape[0])
+        if dcor(b[np.ix_(perm, perm)]) >= observed:
             hits += 1
     return observed, (1.0 + hits) / (1.0 + permutations)

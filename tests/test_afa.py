@@ -243,6 +243,14 @@ def test_short_series_rejected():
         estimate_hurst(np.random.default_rng(0).uniform(size=59))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected_naming_first_index(bad):
+    x = white_noise(500, 2)
+    x[[123, 321]] = bad
+    with pytest.raises(ValueError, match="non-finite value .* at index 123$"):
+        estimate_hurst(x)
+
+
 def test_window_beyond_series_rejected():
     config = AfaConfig(window_sizes=(5, 7, 9, 11, 201))
     with pytest.raises(SeriesTooShortError):

@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +117,58 @@ def test_hurst_too_short_series_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_hurst_series_rejects_non_finite_value(tmp_path, capsys, bad):
+    values = [str(v) for v in np.random.default_rng(5).normal(size=256)]
+    values[100] = bad
+    series_path = tmp_path / "series.csv"
+    series_path.write_text("\n".join(values) + "\n")
+    code, _, err = run_cli(["hurst", "--series", str(series_path)], capsys)
+    assert code == 1
+    assert "non-finite value" in err and "at index 100" in err
+
+
+def test_story_hurst_same_bytes_on_every_route(tmp_path, lexicon_path, small_corpus, capsys):
+    # hurst STORY, the story's analyze row, and hurst --series over the raw
+    # column of arc's output all estimate on the same raw valence series
+    corpus, ratings = small_corpus
+    story = corpus / "gamma.txt"
+    code, out, _ = run_cli(["hurst", str(story), "--lexicon", str(lexicon_path)], capsys)
+    assert code == 0
+    via_story = re.search(r'"hurst": ([^,]+),', out).group(1)
+
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(
+        [
+            "analyze",
+            "--corpus", str(corpus),
+            "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings),
+            "--out", str(out_dir),
+            "--jobs", "1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    with open(out_dir / "results.csv", newline="") as fh:
+        via_analyze = next(r["hurst"] for r in csv.DictReader(fh) if r["id"] == "gamma")
+
+    arc_path = tmp_path / "arc.csv"
+    code, _, _ = run_cli(
+        ["arc", str(story), "--lexicon", str(lexicon_path), "--out", str(arc_path)], capsys
+    )
+    assert code == 0
+    with open(arc_path, newline="") as fh:
+        raw = [row["raw"] for row in csv.DictReader(fh)]
+    series_path = tmp_path / "raw.csv"
+    series_path.write_text("\n".join(raw) + "\n")
+    code, out, _ = run_cli(["hurst", "--series", str(series_path)], capsys)
+    assert code == 0
+    via_series = re.search(r'"hurst": ([^,]+),', out).group(1)
+
+    assert via_story == via_analyze == via_series
+
+
 # --------------------------------------------------------------------- arc
 
 
@@ -224,7 +278,46 @@ def test_analyze_missing_corpus_exit_1(tmp_path, lexicon_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_analyze_rejects_nonpositive_jobs(tmp_path, lexicon_path, small_corpus, capsys, jobs):
+    corpus, ratings = small_corpus
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        [
+            "analyze",
+            "--corpus", str(corpus),
+            "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings),
+            "--out", str(out_dir),
+            "--jobs", jobs,
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "--jobs" in err
+    assert not out_dir.exists()
+
+
 # --------------------------------------------------------------- correlate
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("a,A,100,1,0.6", ":3: expected 10 fields, got 5"),
+        ("a,A,100,1,0.6,0.9,3.5,many,false,ok", ":3: n_ratings: "),
+        ("a,A,100,full,0.6,0.9,3.5,40,false,ok", ":3: coverage: "),
+    ],
+)
+def test_correlate_reports_malformed_results_row(tmp_path, capsys, row, message):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "id,title,n_tokens,coverage,hurst,r_squared,avg_rating,n_ratings,sweet_spot,status\n"
+        "b,B,100,1,0.6,0.9,3.5,40,true,ok\n" + row + "\n"
+    )
+    code, _, err = run_cli(["correlate", "--results", str(results)], capsys)
+    assert code == 1
+    assert f"{results}{message}" in err
 
 
 def test_correlate_from_results(tmp_path, lexicon_path, small_corpus, capsys):
@@ -356,7 +449,7 @@ def test_unknown_subcommand_rejected(capsys):
     "subcommand,needles",
     [
         ("arc", ["--lexicon", "--smooth-fraction", "--window", "--windows-out", "index", "raw", "smooth", "mean", "std"]),
-        ("hurst", ["--series", "--order", "--windows", "--smoothed", "hurst", "intercept", "r_squared", "n_points", "log2_w", "log2_F"]),
+        ("hurst", ["--series", "--order", "--windows", "hurst", "intercept", "r_squared", "n_points", "log2_w", "log2_F"]),
         ("analyze", ["--corpus", "--ratings", "--mapping", "--min-ratings", "--jobs", "sweet_spot", "status", "pearson_r", "distance_corr", "n_ratings"]),
         ("correlate", ["--results", "--min-ratings", "--dcor-permutations", "kendall_tau", "spearman_rho"]),
         ("cluster", ["--k", "--tree-out", "cluster", "height", "size"]),

@@ -236,15 +236,6 @@ def test_parallel_matches_serial(tmp_path, graded_lex):
     assert serial == parallel
 
 
-def test_smoothed_input_changes_series_not_contract(tmp_path, graded_lex):
-    write_story(tmp_path, "s", fgn_token_text(0.6, 2048, seed=9))
-    corpus = load_corpus(tmp_path)
-    raw = analyze_corpus(corpus, graded_lex)
-    smoothed = analyze_corpus(corpus, graded_lex, use_smoothed=True, smooth_fraction=0.01)
-    assert raw[0].status == smoothed[0].status == "ok"
-    assert raw[0].hurst != smoothed[0].hurst
-
-
 # ---------------------------------------------------------------- correlate
 
 
