@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from sentarc import AfaConfig, SynthSpec, estimate_hurst, fgn
+from sentarc import SynthSpec, estimate_hurst, fgn
 
 
 def main() -> int:
@@ -28,7 +28,6 @@ def main() -> int:
     args = parser.parse_args()
 
     targets = [float(t) for t in args.targets.split(",")]
-    config = AfaConfig(poly_order=args.order)
 
     print(f"n={args.n}, seeds=1..{args.seeds}, poly order {args.order}")
     print(f"{'target':>7} {'mean':>8} {'bias':>8} {'sd':>7} {'min':>7} {'max':>7} {'r2':>6}")
@@ -37,7 +36,7 @@ def main() -> int:
         estimates = []
         fit_quality = []
         for seed in range(1, args.seeds + 1):
-            result = estimate_hurst(fgn(SynthSpec(target, args.n, seed)), config)
+            result = estimate_hurst(fgn(SynthSpec(target, args.n, seed)), args.order)
             estimates.append(result.hurst)
             fit_quality.append(result.r_squared)
         estimates = np.array(estimates)

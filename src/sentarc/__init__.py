@@ -4,7 +4,6 @@ analysis, and correlations against reader ratings."""
 __version__ = "0.1.0"
 
 from .afa import (
-    AfaConfig,
     AfaResult,
     default_window_sizes,
     estimate_hurst,
@@ -55,7 +54,6 @@ from .stats import (
 from .synth import SynthSpec, fgn, fgn_autocovariance, white_noise
 
 __all__ = [
-    "AfaConfig",
     "AfaResult",
     "AfaError",
     "CorpusError",

@@ -32,32 +32,8 @@ MIN_WINDOW = 5
 #: Number of log-spaced windows in the default schedule.
 DEFAULT_N_WINDOWS = 15
 
-
-@dataclass(frozen=True)
-class AfaConfig:
-    """Estimator settings.
-
-    `window_sizes` of None derives a log-spaced schedule of odd windows
-    covering [5, N/4] from the series length at estimation time.
-    """
-
-    poly_order: int = 1
-    window_sizes: tuple[int, ...] | None = None
-    min_windows_for_fit: int = 5
-
-    def __post_init__(self):
-        if self.poly_order < 0:
-            raise ValueError(f"poly_order must be >= 0, got {self.poly_order}")
-        if self.min_windows_for_fit < 2:
-            raise ValueError("min_windows_for_fit must be >= 2")
-        if self.window_sizes is not None:
-            ws = tuple(int(w) for w in self.window_sizes)
-            object.__setattr__(self, "window_sizes", ws)
-            for w in ws:
-                if w < MIN_WINDOW or w % 2 == 0:
-                    raise ValueError(f"window sizes must be odd and >= {MIN_WINDOW}, got {w}")
-            if any(b <= a for a, b in zip(ws, ws[1:])):
-                raise ValueError("window sizes must be strictly ascending")
+#: Fewest windows with a nonzero residual the log-log fit accepts.
+MIN_WINDOWS_FOR_FIT = 5
 
 
 @dataclass(frozen=True)
@@ -183,65 +159,49 @@ def fluctuation(u, v) -> float:
     return float(np.sqrt(np.mean((u - v) ** 2)))
 
 
-def default_window_sizes(
-    n_samples: int,
-    n_windows: int = DEFAULT_N_WINDOWS,
-    min_window: int = MIN_WINDOW,
-) -> tuple[int, ...]:
-    """Log-spaced odd window sizes covering [min_window, n_samples/4]."""
+def default_window_sizes(n_samples: int) -> tuple[int, ...]:
+    """Log-spaced odd window sizes covering [MIN_WINDOW, n_samples/4]."""
     max_window = n_samples // 4
     if max_window % 2 == 0:
         max_window -= 1
-    if max_window < min_window:
+    if max_window < MIN_WINDOW:
         raise SeriesTooShortError(
             f"series of {n_samples} samples leaves no window range "
-            f"[{min_window}, {n_samples // 4}]"
+            f"[{MIN_WINDOW}, {n_samples // 4}]"
         )
-    if max_window == min_window:
-        return (min_window,)
-    grid = np.logspace(np.log2(min_window), np.log2(max_window), n_windows, base=2.0)
+    grid = np.logspace(np.log2(MIN_WINDOW), np.log2(max_window), DEFAULT_N_WINDOWS, base=2.0)
     odd = (2.0 * np.round((grid - 1.0) / 2.0) + 1.0).astype(int)
-    odd = np.unique(np.clip(odd, min_window, max_window))
+    odd = np.unique(np.clip(odd, MIN_WINDOW, max_window))
     return tuple(int(w) for w in odd)
 
 
-def estimate_hurst(series, config: AfaConfig | None = None) -> AfaResult:
+def estimate_hurst(series, order: int = 1) -> AfaResult:
     """Estimate the Hurst exponent of a series.
 
     Builds the profile once, computes the fluctuation function over the
-    window schedule, drops windows with zero residual, and fits ordinary
-    least squares of log2 F(w) on log2 w. The slope is the estimate; the
-    line's R^2 grades how well the scaling relation holds.
+    log-spaced schedule of :func:`default_window_sizes`, drops windows with
+    zero residual, and fits ordinary least squares of log2 F(w) on log2 w.
+    `order` is the polynomial order of the local fits. The slope is the
+    estimate; the line's R^2 grades how well the scaling relation holds.
 
-    Raises ValueError on NaN or infinite input, SeriesTooShortError below
-    60 samples or when the largest window exceeds the series, and
-    DegenerateSeriesError when fewer than `min_windows_for_fit` windows
-    produce a nonzero residual (constant input, for example).
+    Raises ValueError for a negative order and on NaN or infinite input,
+    SeriesTooShortError below 60 samples, and DegenerateSeriesError when
+    fewer than MIN_WINDOWS_FOR_FIT windows produce a nonzero residual
+    (constant input, for example).
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     x = np.asarray(series, dtype=float)
     finite = np.isfinite(x)
     if not finite.all():
         first = int(np.argmin(finite))
         raise ValueError(f"non-finite value {x[first]} at index {first}")
     n_samples = x.size
-    if config is None:
-        config = AfaConfig()
     if n_samples < MIN_SERIES_LENGTH:
         raise SeriesTooShortError(
             f"series has {n_samples} samples; at least {MIN_SERIES_LENGTH} required"
         )
-    windows = config.window_sizes
-    if windows is None:
-        windows = default_window_sizes(n_samples)
-    elif windows[-1] > n_samples:
-        raise SeriesTooShortError(
-            f"largest window {windows[-1]} exceeds series length {n_samples}"
-        )
-    if len(windows) < config.min_windows_for_fit:
-        raise ValueError(
-            f"schedule has {len(windows)} windows; "
-            f"min_windows_for_fit is {config.min_windows_for_fit}"
-        )
+    windows = default_window_sizes(n_samples)
     # rounding in the mean can leave a constant series with a nonzero
     # profile, so rule it out exactly rather than through F(w)
     if np.all(x == x[0]):
@@ -250,11 +210,11 @@ def estimate_hurst(series, config: AfaConfig | None = None) -> AfaResult:
     u = profile(x)
     points = []
     for w in windows:
-        v = global_trend(u, w, config.poly_order)
+        v = global_trend(u, w, order)
         f = fluctuation(u, v)
         if f > 0.0:
             points.append((float(np.log2(w)), float(np.log2(f))))
-    if len(points) < config.min_windows_for_fit:
+    if len(points) < MIN_WINDOWS_FOR_FIT:
         raise DegenerateSeriesError(
             f"degenerate series: only {len(points)} of {len(windows)} windows "
             "produced a nonzero fluctuation"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import logging
 import os
 import sys
@@ -25,7 +24,7 @@ from . import __version__
 from . import arc as arc_mod
 from . import corpus as corpus_mod
 from . import serialize
-from .afa import AfaConfig, estimate_hurst
+from .afa import estimate_hurst
 from .errors import SentarcError
 from .lexicon import load_lexicon
 from .synth import SynthSpec, fgn
@@ -53,11 +52,15 @@ def _read_text(path: str) -> str:
 
 
 def _read_series(path: str) -> list[float]:
-    """One-column numeric series; an optional non-numeric first line is a header."""
+    """One-column numeric series; an optional non-numeric first line is a header.
+
+    Each line must hold exactly one number, so a multi-column CSV is an
+    error rather than silently read by its first column.
+    """
     text = _read_text(path)
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        item = line.split(",")[0].strip()
+        item = line.strip()
         if not item:
             continue
         try:
@@ -65,7 +68,9 @@ def _read_series(path: str) -> list[float]:
         except ValueError:
             if lineno == 1:
                 continue
-            raise SentarcError(f"{path}:{lineno}: not a number: {item!r}") from None
+            raise SentarcError(
+                f"{path}:{lineno}: expected one numeric column, got {item!r}"
+            ) from None
     return values
 
 
@@ -78,40 +83,26 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _parse_windows(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(w) for w in text.split(","))
-    except ValueError:
-        raise SentarcError(f"--windows expects comma-separated integers, got {text!r}") from None
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _afa_config(args) -> AfaConfig:
-    windows = _parse_windows(args.windows) if args.windows else None
-    try:
-        return AfaConfig(
-            poly_order=args.order,
-            window_sizes=windows,
-            min_windows_for_fit=args.min_windows_for_fit,
-        )
-    except ValueError as exc:
-        raise SentarcError(str(exc)) from exc
-
-
-def _add_afa_flags(parser) -> None:
+def _add_order_flag(parser) -> None:
     parser.add_argument(
-        "--order", type=int, default=1, help="polynomial order of the local fits (default 1)"
-    )
-    parser.add_argument(
-        "--windows",
-        metavar="W1,W2,...",
-        help="explicit odd window sizes (default: log-spaced over [5, N/4])",
-    )
-    parser.add_argument(
-        "--min-windows-for-fit",
-        type=int,
-        default=5,
-        metavar="K",
-        help="minimum usable window count for the log-log fit (default 5)",
+        "--order",
+        type=_int_at_least(0),
+        default=1,
+        help="polynomial order of the local fits, at least 0 (default 1); "
+        "windows are always log-spaced over [5, N/4]",
     )
 
 
@@ -144,16 +135,6 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for permutation draws")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _cmd_arc(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     text = _read_text(args.story)
@@ -179,7 +160,7 @@ def _cmd_hurst(args) -> int:
         ).raw
     else:
         values = _read_series(args.series)
-    result = estimate_hurst(values, _afa_config(args))
+    result = estimate_hurst(values, args.order)
     with _open_out(args.out) as fh:
         fh.write(serialize.hurst_json(result) + "\n")
     if args.points_out:
@@ -196,7 +177,7 @@ def _cmd_analyze(args) -> int:
     records = corpus_mod.analyze_corpus(
         stories,
         lexicon,
-        config=_afa_config(args),
+        order=args.order,
         ratings=ratings,
         mapping=mapping,
         jobs=args.jobs,
@@ -230,50 +211,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _optional(parse):
-    return lambda text: parse(text) if text else None
-
-
-# results.csv column -> parser of its text, in header order
-_RESULTS_FIELDS = {
-    "id": str,
-    "title": str,
-    "n_tokens": int,
-    "coverage": float,
-    "hurst": _optional(float),
-    "r_squared": _optional(float),
-    "avg_rating": _optional(float),
-    "n_ratings": _optional(int),
-    "sweet_spot": lambda text: text == "true",
-    "status": str,
-}
-
-
-def _records_from_results_csv(path: str) -> list[corpus_mod.StoryRecord]:
-    text = _read_text(path)
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or rows[0] != serialize.RESULTS_HEADER:
-        raise SentarcError(f"{path}: not a results.csv (unexpected header)")
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(_RESULTS_FIELDS):
-            raise SentarcError(
-                f"{path}:{lineno}: expected {len(_RESULTS_FIELDS)} fields, got {len(row)}"
-            )
-        fields = {}
-        for (name, parse), item in zip(_RESULTS_FIELDS.items(), row):
-            try:
-                fields[name] = parse(item)
-            except ValueError as exc:
-                raise SentarcError(f"{path}:{lineno}: {name}: {exc}") from None
-        records.append(corpus_mod.StoryRecord(**fields))
-    return records
-
-
 def _cmd_correlate(args) -> int:
-    records = _records_from_results_csv(args.results)
+    records = serialize.read_results_csv(_read_text(args.results), args.results)
     thresholds = sorted(set(args.min_ratings if args.min_ratings else [30]))
     reports = []
     for threshold in thresholds:
@@ -371,7 +310,7 @@ def build_parser() -> _Parser:
     p_hurst.add_argument("story", nargs="?", help="story text file (needs --lexicon)")
     p_hurst.add_argument("--series", metavar="PATH", help="one-column numeric CSV, or -")
     p_hurst.add_argument("--lexicon", help="tab-separated valence lexicon")
-    _add_afa_flags(p_hurst)
+    _add_order_flag(p_hurst)
     p_hurst.add_argument("--out", default="-", help="JSON destination (default stdout)")
     p_hurst.add_argument("--points-out", metavar="PATH", help="also write the scaling points CSV")
     p_hurst.set_defaults(func=_cmd_hurst)
@@ -403,11 +342,11 @@ def build_parser() -> _Parser:
     _add_correlation_flags(p_analyze, "0 and 30")
     p_analyze.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=os.cpu_count() or 1,
         help="parallel story analyses, at least 1 (default: logical cores)",
     )
-    _add_afa_flags(p_analyze)
+    _add_order_flag(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_corr = sub.add_parser(

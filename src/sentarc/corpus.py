@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import arc as arc_mod
-from .afa import AfaConfig, estimate_hurst
+from .afa import estimate_hurst
 from .errors import (
     CorpusError,
     DegenerateSeriesError,
@@ -50,10 +50,6 @@ class Story:
     id: str
     title: str
     text: str
-
-    @property
-    def n_chars(self) -> int:
-        return len(self.text)
 
 
 @dataclass(frozen=True)
@@ -177,11 +173,11 @@ def load_id_mapping(path) -> dict[str, str]:
 
 
 def _analyze_story(
-    story: Story, lexicon: Lexicon, config: AfaConfig
+    story: Story, lexicon: Lexicon, order: int
 ) -> tuple[str, int, float, float | None, float | None, str]:
     series = arc_mod.arc_from_text(story.text, lexicon, story.id)
     try:
-        result = estimate_hurst(series.raw, config)
+        result = estimate_hurst(series.raw, order)
     except SeriesTooShortError:
         return story.id, series.n_tokens, series.coverage, None, None, STATUS_TOO_SHORT
     except DegenerateSeriesError:
@@ -199,9 +195,9 @@ def _analyze_story(
 _WORKER_ARGS: tuple | None = None
 
 
-def _init_worker(lexicon, config):
+def _init_worker(lexicon, order):
     global _WORKER_ARGS
-    _WORKER_ARGS = (lexicon, config)
+    _WORKER_ARGS = (lexicon, order)
 
 
 def _run_worker(story: Story):
@@ -211,21 +207,20 @@ def _run_worker(story: Story):
 def analyze_corpus(
     corpus: list[Story],
     lexicon: Lexicon,
-    config: AfaConfig | None = None,
+    order: int = 1,
     ratings: list[RatingRecord] | None = None,
     mapping: dict[str, str] | None = None,
     jobs: int = 1,
 ) -> list[StoryRecord]:
     """Run the full pipeline over every story and join ratings by id.
 
-    Each story's Hurst exponent is estimated on its raw valence series,
-    over `jobs` worker processes when `jobs` > 1. `mapping` maps file ids
-    to rating ids where they differ. One record per story, in corpus
-    order; stories the estimator rejects carry a null Hurst and a reason
-    code instead of being dropped. Raises CorpusError only when not a
-    single story yields an estimate.
+    Each story's Hurst exponent is estimated on its raw valence series
+    with local fits of polynomial `order`, over `jobs` worker processes
+    when `jobs` > 1. `mapping` maps file ids to rating ids where they
+    differ. One record per story, in corpus order; stories the estimator
+    rejects carry a null Hurst and a reason code instead of being dropped.
+    Raises CorpusError only when not a single story yields an estimate.
     """
-    config = config or AfaConfig()
     ratings = ratings or []
     mapping = mapping or {}
     by_id = {r.id: r for r in ratings}
@@ -234,11 +229,11 @@ def analyze_corpus(
         with ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_init_worker,
-            initargs=(lexicon, config),
+            initargs=(lexicon, order),
         ) as pool:
             raw_results = list(pool.map(_run_worker, corpus, chunksize=4))
     else:
-        raw_results = [_analyze_story(s, lexicon, config) for s in corpus]
+        raw_results = [_analyze_story(s, lexicon, order) for s in corpus]
 
     records = []
     for story, (sid, n_tokens, coverage, hurst, r_squared, status) in zip(

@@ -1,4 +1,4 @@
-"""Writers for the tool's file formats.
+"""Writers for the tool's file formats, and the reader of results.csv.
 
 All numbers are serialized with 17 significant digits so repeated runs and
 golden files compare byte for byte; any rounding happens only at display
@@ -8,11 +8,13 @@ boundaries elsewhere.
 from __future__ import annotations
 
 import csv
+import math
 from typing import IO, Iterable
 
 from .afa import AfaResult
 from .arc import Merge, SentimentArc, WindowSummary
 from .corpus import StoryRecord
+from .errors import SentarcError
 from .stats import CorrelationReport
 
 
@@ -87,18 +89,32 @@ def reports_json(reports: list[CorrelationReport]) -> str:
     return "[\n  " + body + "\n]\n" if reports else "[]\n"
 
 
-RESULTS_HEADER = [
-    "id",
-    "title",
-    "n_tokens",
-    "coverage",
-    "hurst",
-    "r_squared",
-    "avg_rating",
-    "n_ratings",
-    "sweet_spot",
-    "status",
-]
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value}")
+    return value
+
+
+def _optional(parse):
+    return lambda text: parse(text) if text else None
+
+
+# results.csv column -> parser of its text, in header order
+_RESULTS_FIELDS = {
+    "id": str,
+    "title": str,
+    "n_tokens": int,
+    "coverage": _finite,
+    "hurst": _optional(_finite),
+    "r_squared": _optional(_finite),
+    "avg_rating": _optional(_finite),
+    "n_ratings": _optional(int),
+    "sweet_spot": lambda text: text == "true",
+    "status": str,
+}
+
+RESULTS_HEADER = list(_RESULTS_FIELDS)
 
 
 def write_results_csv(records: list[StoryRecord], out: IO[str]) -> None:
@@ -119,6 +135,34 @@ def write_results_csv(records: list[StoryRecord], out: IO[str]) -> None:
                 r.status,
             ]
         )
+
+
+def read_results_csv(text: str, path: str) -> list[StoryRecord]:
+    """Parse results.csv text back into records; `path` labels the errors.
+
+    Blank lines are skipped. A wrong header, a row with the wrong field
+    count, or an unparsable or non-finite value raises SentarcError naming
+    the line and column.
+    """
+    rows = list(csv.reader(text.splitlines()))
+    if not rows or rows[0] != RESULTS_HEADER:
+        raise SentarcError(f"{path}: not a results.csv (unexpected header)")
+    records = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(_RESULTS_FIELDS):
+            raise SentarcError(
+                f"{path}:{lineno}: expected {len(_RESULTS_FIELDS)} fields, got {len(row)}"
+            )
+        fields = {}
+        for (name, parse), item in zip(_RESULTS_FIELDS.items(), row):
+            try:
+                fields[name] = parse(item)
+            except ValueError as exc:
+                raise SentarcError(f"{path}:{lineno}: {name}: {exc}") from None
+        records.append(StoryRecord(**fields))
+    return records
 
 
 def write_scatter_csv(records: list[StoryRecord], out: IO[str]) -> None:

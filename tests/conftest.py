@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sentarc
 from sentarc import SynthSpec, fgn
 from sentarc.lexicon import Lexicon
 
@@ -47,3 +51,11 @@ def write_graded_lexicon_file(path):
     lines = ["word\tvalence"] + [f"{w}\t{v!r}" for w, v in GRADED_WORDS.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def package_env() -> dict:
+    """Environment for a child Python that imports the package under test,
+    wherever pytest found it."""
+    src = str(Path(sentarc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

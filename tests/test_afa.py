@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentarc import (
-    AfaConfig,
     AfaResult,
     DegenerateSeriesError,
     SeriesTooShortError,
@@ -203,13 +202,9 @@ def test_default_windows_shortest_supported_series():
     assert len(ws) >= 5
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AfaConfig(window_sizes=(5, 7, 8))
-    with pytest.raises(ValueError):
-        AfaConfig(window_sizes=(7, 5))
-    with pytest.raises(ValueError):
-        AfaConfig(poly_order=-1)
+def test_negative_order_rejected():
+    with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+        estimate_hurst(white_noise(500, 1), order=-1)
 
 
 # ------------------------------------------------------------ estimate_hurst
@@ -249,12 +244,6 @@ def test_non_finite_input_rejected_naming_first_index(bad):
     x[[123, 321]] = bad
     with pytest.raises(ValueError, match="non-finite value .* at index 123$"):
         estimate_hurst(x)
-
-
-def test_window_beyond_series_rejected():
-    config = AfaConfig(window_sizes=(5, 7, 9, 11, 201))
-    with pytest.raises(SeriesTooShortError):
-        estimate_hurst(white_noise(100, 1), config)
 
 
 def test_result_reports_fit_quality_and_points():

@@ -1,17 +1,14 @@
 import csv
 import io
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sentarc
-from conftest import fgn_token_text, write_graded_lexicon_file, write_story
+from conftest import fgn_token_text, package_env, write_graded_lexicon_file, write_story
 from sentarc.cli import main
 
 
@@ -128,12 +125,18 @@ def test_hurst_series_rejects_non_finite_value(tmp_path, capsys, bad):
     assert "non-finite value" in err and "at index 100" in err
 
 
-def test_story_hurst_same_bytes_on_every_route(tmp_path, lexicon_path, small_corpus, capsys):
-    # hurst STORY, the story's analyze row, and hurst --series over the raw
-    # column of arc's output all estimate on the same raw valence series
+@pytest.mark.parametrize("order", ["0", "1", "2"])
+def test_story_hurst_same_bytes_on_every_route(
+    tmp_path, lexicon_path, small_corpus, capsys, order
+):
+    # hurst STORY, the story's analyze row (through the worker pool), and
+    # hurst --series over the raw column of arc's output all estimate on the
+    # same raw valence series with the same fit order
     corpus, ratings = small_corpus
     story = corpus / "gamma.txt"
-    code, out, _ = run_cli(["hurst", str(story), "--lexicon", str(lexicon_path)], capsys)
+    code, out, _ = run_cli(
+        ["hurst", str(story), "--lexicon", str(lexicon_path), "--order", order], capsys
+    )
     assert code == 0
     via_story = re.search(r'"hurst": ([^,]+),', out).group(1)
 
@@ -145,7 +148,8 @@ def test_story_hurst_same_bytes_on_every_route(tmp_path, lexicon_path, small_cor
             "--lexicon", str(lexicon_path),
             "--ratings", str(ratings),
             "--out", str(out_dir),
-            "--jobs", "1",
+            "--jobs", "2",
+            "--order", order,
         ],
         capsys,
     )
@@ -162,11 +166,63 @@ def test_story_hurst_same_bytes_on_every_route(tmp_path, lexicon_path, small_cor
         raw = [row["raw"] for row in csv.DictReader(fh)]
     series_path = tmp_path / "raw.csv"
     series_path.write_text("\n".join(raw) + "\n")
-    code, out, _ = run_cli(["hurst", "--series", str(series_path)], capsys)
+    code, out, _ = run_cli(["hurst", "--series", str(series_path), "--order", order], capsys)
     assert code == 0
     via_series = re.search(r'"hurst": ([^,]+),', out).group(1)
 
     assert via_story == via_analyze == via_series
+
+
+def test_hurst_series_rejects_multi_column_csv(tmp_path, lexicon_path, capsys):
+    # arc's output has index,raw,smooth columns; reading only the first
+    # would estimate the index ramp
+    story = write_story(tmp_path, "tale", fgn_token_text(0.6, 2048, seed=5))
+    arc_path = tmp_path / "arc.csv"
+    code, _, _ = run_cli(
+        ["arc", str(story), "--lexicon", str(lexicon_path), "--out", str(arc_path)], capsys
+    )
+    assert code == 0
+    second = arc_path.read_text().splitlines()[1]
+    code, out, err = run_cli(["hurst", "--series", str(arc_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"{arc_path}:2: expected one numeric column, got {second!r}" in err
+
+
+@pytest.mark.parametrize("subcommand", ["hurst", "analyze"])
+def test_negative_order_is_a_parse_error(tmp_path, lexicon_path, small_corpus, capsys, subcommand):
+    corpus, ratings = small_corpus
+    out_dir = tmp_path / "out"
+    argv = {
+        "hurst": ["hurst", str(corpus / "gamma.txt"), "--lexicon", str(lexicon_path)],
+        "analyze": [
+            "analyze",
+            "--corpus", str(corpus),
+            "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings),
+            "--out", str(out_dir),
+        ],
+    }[subcommand]
+    code, out, err = run_cli(argv + ["--order", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--order" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hurst", "--series", "-", "--windows", "5,7"],
+        ["analyze", "--corpus", "c", "--lexicon", "l", "--ratings", "r", "--out", "o",
+         "--min-windows-for-fit", "3"],
+    ],
+)
+def test_window_schedule_flags_are_unknown(capsys, argv):
+    # the schedule is always log-spaced over [5, N/4]; only --order is settable
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err
 
 
 # --------------------------------------------------------------------- arc
@@ -307,6 +363,10 @@ def test_analyze_rejects_nonpositive_jobs(tmp_path, lexicon_path, small_corpus, 
         ("a,A,100,1,0.6", ":3: expected 10 fields, got 5"),
         ("a,A,100,1,0.6,0.9,3.5,many,false,ok", ":3: n_ratings: "),
         ("a,A,100,full,0.6,0.9,3.5,40,false,ok", ":3: coverage: "),
+        ("a,A,100,1,nan,0.9,3.5,40,false,ok", ":3: hurst: non-finite value nan"),
+        ("a,A,100,1,0.6,inf,3.5,40,false,ok", ":3: r_squared: non-finite value inf"),
+        ("a,A,100,1,0.6,0.9,-inf,40,false,ok", ":3: avg_rating: non-finite value -inf"),
+        ("a,A,100,NaN,0.6,0.9,3.5,40,false,ok", ":3: coverage: non-finite value nan"),
     ],
 )
 def test_correlate_reports_malformed_results_row(tmp_path, capsys, row, message):
@@ -449,7 +509,7 @@ def test_unknown_subcommand_rejected(capsys):
     "subcommand,needles",
     [
         ("arc", ["--lexicon", "--smooth-fraction", "--window", "--windows-out", "index", "raw", "smooth", "mean", "std"]),
-        ("hurst", ["--series", "--order", "--windows", "hurst", "intercept", "r_squared", "n_points", "log2_w", "log2_F"]),
+        ("hurst", ["--series", "--order", "hurst", "intercept", "r_squared", "n_points", "log2_w", "log2_F"]),
         ("analyze", ["--corpus", "--ratings", "--mapping", "--min-ratings", "--jobs", "sweet_spot", "status", "pearson_r", "distance_corr", "n_ratings"]),
         ("correlate", ["--results", "--min-ratings", "--dcor-permutations", "kendall_tau", "spearman_rho"]),
         ("cluster", ["--k", "--tree-out", "cluster", "height", "size"]),
@@ -464,15 +524,11 @@ def test_help_documents_flags_and_columns(subcommand, needles, capsys):
 
 
 def test_console_entry_point_runs():
-    # run the package under test, wherever pytest found it
-    src = str(Path(sentarc.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "sentarc", "--version"],
         capture_output=True,
         text=True,
-        env=env,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert "sentarc" in proc.stdout

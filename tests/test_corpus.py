@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sentarc import (
-    AfaConfig,
     CorpusError,
     RatingRecord,
     RatingsError,
@@ -50,7 +49,6 @@ def test_stories_sorted_by_id(tmp_path):
     stories = load_corpus(tmp_path)
     assert [s.id for s in stories] == ["apple", "mango", "zebra"]
     assert stories[0].title == "Apple"
-    assert stories[0].n_chars == len("the apple story")
 
 
 def test_invalid_utf8_skipped_with_warning(tmp_path, caplog):

@@ -1,0 +1,49 @@
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import package_env
+from sentarc.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_hurst_recovery_runs():
+    out = run_script("hurst_recovery.py", "--n", "256", "--seeds", "2", "--targets", "0.5")
+    lines = out.splitlines()
+    assert lines[0] == "n=256, seeds=1..2, poly order 1"
+    target, mean = lines[2].split()[:2]
+    assert float(target) == 0.5
+    assert 0.0 < float(mean) < 1.0
+
+
+def test_demo_corpus_analyzes(tmp_path, capsys):
+    run_script("make_demo_corpus.py", str(tmp_path), "--stories", "6", "--tokens", "512")
+    out_dir = tmp_path / "study"
+    code = main(
+        [
+            "analyze",
+            "--corpus", str(tmp_path / "corpus"),
+            "--lexicon", str(tmp_path / "lexicon.tsv"),
+            "--ratings", str(tmp_path / "ratings.csv"),
+            "--out", str(out_dir),
+            "--jobs", "1",
+        ]
+    )
+    assert code == 0, capsys.readouterr().err
+    with open(out_dir / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["id"] for r in rows] == [f"tale_{i:03d}" for i in range(6)]
+    assert all(r["status"] == "ok" for r in rows)
