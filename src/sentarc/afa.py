@@ -17,6 +17,7 @@ below 0.5 anti-persistent ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,13 @@ DEFAULT_N_WINDOWS = 15
 
 #: Fewest windows with a nonzero residual the log-log fit accepts.
 MIN_WINDOWS_FOR_FIT = 5
+
+# Fit operators of windows up to _CACHED_WINDOW_MAX samples are kept per
+# process, at most _FIT_OPERATOR_CACHE_SIZE of them. Small windows recur in
+# the schedule of every series; a large one recurs only for series of about
+# the same length, and its operators take memory in proportion to w.
+_CACHED_WINDOW_MAX = 1023
+_FIT_OPERATOR_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -101,16 +109,21 @@ def _check_window(n_samples: int, w: int) -> None:
         raise ValueError(f"window size {w} exceeds series length {n_samples}")
 
 
-def _segment_fits(segments: np.ndarray, w: int, order: int) -> np.ndarray:
-    """Least-squares polynomial fit of every row at once.
+@functools.lru_cache(maxsize=_FIT_OPERATOR_CACHE_SIZE)
+def _fit_operators(w: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `(pinv(design).T, design.T)` for length-w segments.
 
-    Rows share one design matrix over a local coordinate centered at the
-    segment midpoint, which keeps the normal equations well conditioned.
+    The design matrix depends only on (w, order), so the cache computes
+    its pseudo-inverse once per key rather than once per call. The local
+    coordinate is centered at the segment midpoint, which keeps the fit
+    well conditioned.
     """
     t = np.arange(w, dtype=float) - (w - 1) / 2
     design = np.vander(t, order + 1, increasing=True)
-    coefs = segments @ np.linalg.pinv(design).T
-    return coefs @ design.T
+    solve = np.linalg.pinv(design)
+    design.flags.writeable = False
+    solve.flags.writeable = False
+    return solve.T, design.T
 
 
 def global_trend(u, w: int, order: int = 1) -> np.ndarray:
@@ -130,23 +143,29 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
 
     n = (w - 1) // 2
     starts = segment_starts(n_samples, w)
-    centers = starts + n
+    last_center = starts[-1] + n
 
-    segments = u[starts[:, None] + np.arange(w)[None, :]]
-    fits = _segment_fits(segments, w, order)
+    # least-squares polynomial fit of every segment at once
+    segments = np.lib.stride_tricks.sliding_window_view(u, w)[starts]
+    fit_operators = _fit_operators if w <= _CACHED_WINDOW_MAX else _fit_operators.__wrapped__
+    solve_t, design_t = fit_operators(w, order)
+    fits = (segments @ solve_t) @ design_t
 
     v = np.empty(n_samples)
     v[: n + 1] = fits[0, : n + 1]
-    # row k blends fits k and k+1 at offsets j = 0..n-1 past center k; the
-    # steps between centers are n except before a right-anchored last
-    # segment, whose row is cut at its shorter step
-    steps = np.diff(centers)[:, None]
+    # row k blends fits k and k+1 at offsets j = 0..n-1 past center k, where
+    # fit k+1 covers them from its own offset j
     j = np.arange(n)
-    frac = j / steps
-    right = np.take_along_axis(fits[1:], n - steps + j, axis=1)
-    blend = (1.0 - frac) * fits[:-1, n : 2 * n] + frac * right
-    v[n : centers[-1]] = blend.ravel()[: centers[-1] - n]
-    v[centers[-1] :] = fits[-1, centers[-1] - starts[-1] :]
+    frac = j / n
+    blend = (1.0 - frac) * fits[:-1, n : 2 * n] + frac * fits[1:, :n]
+    step = int(starts[-1] - starts[-2]) if starts.size > 1 else n
+    if step != n:
+        # a right-anchored last segment sits `step` < n past its neighbor,
+        # so its row fades over that shorter step and is cut there
+        frac = j / step
+        blend[-1] = (1.0 - frac) * fits[-2, n : 2 * n] + frac * fits[-1, n - step + j]
+    v[n:last_center] = blend.ravel()[: last_center - n]
+    v[last_center:] = fits[-1, last_center - starts[-1] :]
     return v
 
 
@@ -184,14 +203,16 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
     `order` is the polynomial order of the local fits. The slope is the
     estimate; the line's R^2 grades how well the scaling relation holds.
 
-    Raises ValueError for a negative order and on NaN or infinite input,
-    SeriesTooShortError below 60 samples, and DegenerateSeriesError when
-    fewer than MIN_WINDOWS_FOR_FIT windows produce a nonzero residual
-    (constant input, for example).
+    Raises ValueError for a negative order, for input that is not 1-D and
+    on NaN or infinite input, SeriesTooShortError below 60 samples, and
+    DegenerateSeriesError when fewer than MIN_WINDOWS_FOR_FIT windows
+    produce a nonzero residual (constant input, for example).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"series must be 1-D, got shape {x.shape}")
     finite = np.isfinite(x)
     if not finite.all():
         first = int(np.argmin(finite))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import logging
 import os
 import sys
@@ -55,11 +56,19 @@ def _read_series(path: str) -> list[float]:
     """One-column numeric series; an optional non-numeric first line is a header.
 
     Each line must hold exactly one number, so a multi-column CSV is an
-    error rather than silently read by its first column.
+    error rather than silently read by its first column. Blank lines are
+    skipped.
     """
-    text = _read_text(path)
+    lines = _read_text(path).splitlines()
+    # bulk path: every line is a number, or every line but a first-line
+    # header; anything else goes through the loop, which names the bad line
+    for skip in (0, 1):
+        try:
+            return list(map(float, itertools.islice(lines, skip, None)))
+        except ValueError:
+            pass
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         item = line.strip()
         if not item:
             continue
@@ -126,11 +135,12 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
     )
     parser.add_argument(
         "--dcor-permutations",
-        type=int,
+        type=_int_at_least(0),
         nargs="?",
         const=9999,
         metavar="B",
-        help="permutation p-value for the distance correlation (default off; 9999 draws when enabled bare)",
+        help="permutation p-value for the distance correlation from B >= 0 draws "
+        "(default off, as is 0; 9999 draws when enabled bare)",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for permutation draws")
 

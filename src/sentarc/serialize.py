@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import IO, Iterable
+from typing import IO, Sequence
+
+import numpy as np
 
 from .afa import AfaResult
 from .arc import Merge, SentimentArc, WindowSummary
 from .corpus import StoryRecord
 from .errors import SentarcError
 from .stats import CorrelationReport
+
+
+# values per formatting call in write_series_csv
+_SERIES_CHUNK = 16384
 
 
 def fmt_float(value: float) -> str:
@@ -44,9 +50,16 @@ def write_window_csv(summary: WindowSummary, out: IO[str]) -> None:
         out.write(f"{i},{fmt_float(summary.means[i])},{fmt_float(summary.stds[i])}\n")
 
 
-def write_series_csv(values: Iterable[float], out: IO[str]) -> None:
-    for v in values:
-        out.write(fmt_float(v) + "\n")
+def write_series_csv(values: Sequence[float] | np.ndarray, out: IO[str]) -> None:
+    """One value per line, in `fmt_float` form.
+
+    Each chunk of 16k values is formatted by one `%`, so the memory held
+    is a chunk's text, never the whole series'.
+    """
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.size, _SERIES_CHUNK):
+        chunk = values[start : start + _SERIES_CHUNK].tolist()
+        out.write(("%.17g\n" * len(chunk)) % tuple(chunk))
 
 
 def write_points_csv(result: AfaResult, out: IO[str]) -> None:

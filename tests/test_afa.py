@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from sentarc import (
     profile,
     white_noise,
 )
-from sentarc.afa import blend_weights, segment_starts
+from sentarc.afa import _fit_operators, blend_weights, segment_starts
 
 
 def trend_oracle(u, w, order):
@@ -44,6 +46,39 @@ def trend_oracle(u, w, order):
             v[g] = (1 - w2) * fits[i][g] + w2 * fits[i + 1][g]
     v[centers[-1] :] = fits[-1][centers[-1] :]
     return v
+
+
+def take_along_axis_trend(u, w, order):
+    """global_trend before its fit operators were cached: the S x w index
+    gather, a fresh pinv per call, and the (segment, offset) cross-fade grid
+    read through take_along_axis. Every later kernel must match its bits."""
+    u = np.asarray(u, dtype=float)
+    n_samples = u.size
+    n = (w - 1) // 2
+    starts = segment_starts(n_samples, w)
+    centers = starts + n
+
+    segments = u[starts[:, None] + np.arange(w)[None, :]]
+    t = np.arange(w, dtype=float) - (w - 1) / 2
+    design = np.vander(t, order + 1, increasing=True)
+    coefs = segments @ np.linalg.pinv(design).T
+    fits = coefs @ design.T
+
+    v = np.empty(n_samples)
+    v[: n + 1] = fits[0, : n + 1]
+    steps = np.diff(centers)[:, None]
+    j = np.arange(n)
+    frac = j / steps
+    right = np.take_along_axis(fits[1:], n - steps + j, axis=1)
+    blend = (1.0 - frac) * fits[:-1, n : 2 * n] + frac * right
+    v[n : centers[-1]] = blend.ravel()[: centers[-1] - n]
+    v[centers[-1] :] = fits[-1, centers[-1] - starts[-1] :]
+    return v
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # ------------------------------------------------------------------ profile
@@ -146,6 +181,56 @@ def test_trend_continuity_at_segment_boundaries():
         assert boundary_steps.max() <= 10 * np.median(dv)
 
 
+@st.composite
+def trend_cases(draw):
+    n_samples = draw(st.integers(min_value=60, max_value=5000))
+    w = 2 * draw(st.integers(min_value=1, max_value=(n_samples - 1) // 2)) + 1
+    order = draw(st.integers(min_value=0, max_value=2))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return n_samples, w, order, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(trend_cases())
+def test_trend_bit_identical_to_take_along_axis_kernel(case):
+    n_samples, w, order, seed = case
+    u = np.random.default_rng(seed).normal(size=n_samples).cumsum()
+    assert_same_bits(global_trend(u, w, order), take_along_axis_trend(u, w, order))
+
+
+@pytest.mark.parametrize("n_samples", [60, 61, 64, 100, 257, 1000, 4097, 20000, 65536])
+def test_trend_bit_identical_on_default_schedule(n_samples):
+    u = profile(white_noise(n_samples, n_samples))
+    for w in default_window_sizes(n_samples):
+        for order in (0, 1, 2):
+            assert_same_bits(global_trend(u, w, order), take_along_axis_trend(u, w, order))
+
+
+@pytest.mark.parametrize(
+    "n_samples,w,anchored",
+    [
+        (5, 5, False), (9, 5, False), (61, 7, False),
+        (8, 5, True), (12, 5, True), (62, 7, True), (63, 7, True),
+    ],
+)
+def test_trend_bit_identical_at_both_endings(n_samples, w, anchored):
+    n = (w - 1) // 2
+    assert ((n_samples - 1 - 2 * n) % n != 0) == anchored
+    u = np.random.default_rng(n_samples).normal(size=n_samples).cumsum()
+    for order in (0, 1, 2):
+        assert_same_bits(global_trend(u, w, order), take_along_axis_trend(u, w, order))
+
+
+def test_cached_fit_operators_are_read_only():
+    first = _fit_operators(9, 1)
+    assert _fit_operators(9, 1) is first
+    for operator in first:
+        assert not operator.flags.writeable
+        with pytest.raises(ValueError):
+            operator[0, 0] = 1.0
+    assert _fit_operators.cache_info().maxsize is not None
+
+
 def test_trend_rejects_even_window():
     with pytest.raises(ValueError):
         global_trend(np.arange(30.0), 6)
@@ -244,6 +329,20 @@ def test_non_finite_input_rejected_naming_first_index(bad):
     x[[123, 321]] = bad
     with pytest.raises(ValueError, match="non-finite value .* at index 123$"):
         estimate_hurst(x)
+
+
+@pytest.mark.parametrize(
+    "series,shape",
+    [
+        (np.random.default_rng(0).normal(size=(100, 100)), "(100, 100)"),
+        (float("nan"), "()"),
+        (None, "()"),
+    ],
+    ids=["matrix", "nan-scalar", "none"],
+)
+def test_input_that_is_not_1d_rejected(series, shape):
+    with pytest.raises(ValueError, match=re.escape(f"series must be 1-D, got shape {shape}")):
+        estimate_hurst(series)
 
 
 def test_result_reports_fit_quality_and_points():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import fgn_token_text, package_env, write_graded_lexicon_file, write_story
-from sentarc.cli import main
+from sentarc.cli import _read_series, main
+from sentarc.errors import SentarcError
 
 
 def run_cli(argv, capsys):
@@ -187,6 +188,63 @@ def test_hurst_series_rejects_multi_column_csv(tmp_path, lexicon_path, capsys):
     assert code == 1
     assert out == ""
     assert f"{arc_path}:2: expected one numeric column, got {second!r}" in err
+
+
+def read_series_loop(path):
+    """The line-by-line reader `_read_series` falls back to, as the oracle
+    for its bulk path: values, header skipping and error text."""
+    values = []
+    for lineno, line in enumerate(path.read_bytes().decode("utf-8").splitlines(), start=1):
+        item = line.strip()
+        if not item:
+            continue
+        try:
+            values.append(float(item))
+        except ValueError:
+            if lineno == 1:
+                continue
+            raise SentarcError(
+                f"{path}:{lineno}: expected one numeric column, got {item!r}"
+            ) from None
+    return values
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "1\n2.5\n-3e-2\n",
+        "value\n1\n2\n",
+        "a,b\n1\n2",
+        "1\n\n2\n   \n3\n\n",
+        "value\n\n1\n",
+        "\n1\n2\n",
+        "1\r\n2\r\n3\r\n",
+        "value\r\n1\r\n",
+        "  1.5 \n\t-2\t\n 3\n",
+        "nan\ninf\n-0.0\n",
+        "1\n2\nx\n4\n",
+        "1\n2\n3\nfoo",
+        "value\n1\n1,2\n",
+        "\nvalue\n1\n",
+        "1\nvalue\n",
+    ],
+)
+def test_read_series_matches_line_loop(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = read_series_loop(path)
+    except SentarcError as exc:
+        with pytest.raises(SentarcError) as got:
+            _read_series(str(path))
+        assert str(got.value) == str(exc)
+        pattern = rf"{re.escape(str(path))}:\d+: expected one numeric column, got '.*'"
+        assert re.fullmatch(pattern, str(exc))
+    else:
+        got = _read_series(str(path))
+        got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("subcommand", ["hurst", "analyze"])
@@ -378,6 +436,52 @@ def test_correlate_reports_malformed_results_row(tmp_path, capsys, row, message)
     code, _, err = run_cli(["correlate", "--results", str(results)], capsys)
     assert code == 1
     assert f"{results}{message}" in err
+
+
+@pytest.mark.parametrize("count", ["-1", "-3"])
+@pytest.mark.parametrize("subcommand", ["analyze", "correlate"])
+def test_negative_dcor_permutations_is_a_parse_error(
+    tmp_path, lexicon_path, small_corpus, capsys, subcommand, count
+):
+    corpus, ratings = small_corpus
+    out = tmp_path / "out"
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "id,title,n_tokens,coverage,hurst,r_squared,avg_rating,n_ratings,sweet_spot,status\n"
+        "a,A,100,1,0.6,0.9,3.5,40,true,ok\n"
+        "b,B,100,1,0.5,0.9,3.1,50,false,ok\n"
+        "c,C,100,1,0.7,0.9,4.0,60,false,ok\n"
+    )
+    argv = {
+        "analyze": [
+            "analyze",
+            "--corpus", str(corpus),
+            "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings),
+            "--out", str(out),
+        ],
+        "correlate": ["correlate", "--results", str(results), "--out", str(out)],
+    }[subcommand]
+    code, stdout, err = run_cli(argv + ["--dcor-permutations", count], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "--dcor-permutations" in err and f"must be >= 0, got {count}" in err
+    assert not out.exists()
+
+
+def test_zero_dcor_permutations_means_off(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "id,title,n_tokens,coverage,hurst,r_squared,avg_rating,n_ratings,sweet_spot,status\n"
+        "a,A,100,1,0.6,0.9,3.5,40,true,ok\n"
+        "b,B,100,1,0.5,0.9,3.1,50,false,ok\n"
+        "c,C,100,1,0.7,0.9,4.0,60,false,ok\n"
+    )
+    code, out, _ = run_cli(
+        ["correlate", "--results", str(results), "--dcor-permutations", "0"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)[0]["distance_corr_p"] is None
 
 
 def test_correlate_from_results(tmp_path, lexicon_path, small_corpus, capsys):

@@ -1,6 +1,9 @@
 import io
 import json
 
+import numpy as np
+import pytest
+
 from sentarc import AfaResult, CorrelationReport, StoryRecord
 from sentarc.serialize import (
     fmt_float,
@@ -9,7 +12,9 @@ from sentarc.serialize import (
     reports_json,
     write_results_csv,
     write_scatter_csv,
+    write_series_csv,
 )
+from sentarc.serialize import _SERIES_CHUNK
 
 
 def make_report(**overrides):
@@ -94,3 +99,36 @@ def test_scatter_skips_incomplete_records():
     lines = buf.getvalue().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 0.6
+
+
+EDGE_VALUES = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -7.0, 2.0**53, 1e22,
+    0.1, 1 / 3, 2.2250738585072014e-308,
+]
+
+
+def series_csv(values) -> str:
+    buf = io.StringIO()
+    write_series_csv(values, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
+def test_series_csv_same_bytes_as_fmt_float_per_value(container):
+    want = "".join(fmt_float(v) + "\n" for v in EDGE_VALUES)
+    assert series_csv(container(EDGE_VALUES)) == want
+
+
+def test_series_csv_empty_input():
+    assert series_csv([]) == ""
+    assert series_csv(np.array([])) == ""
+
+
+@pytest.mark.parametrize("length", [_SERIES_CHUNK - 1, _SERIES_CHUNK, 2 * _SERIES_CHUNK + 5])
+def test_series_csv_chunk_boundaries(length):
+    values = np.random.default_rng(length).standard_cauchy(length)
+    values[::97] = np.round(values[::97])  # integer-valued floats too
+    text = series_csv(values)
+    assert text == "".join(fmt_float(v) + "\n" for v in values)
+    assert text.count("\n") == length
