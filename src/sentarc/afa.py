@@ -36,11 +36,8 @@ DEFAULT_N_WINDOWS = 15
 #: Fewest windows with a nonzero residual the log-log fit accepts.
 MIN_WINDOWS_FOR_FIT = 5
 
-# Fit operators of windows up to _CACHED_WINDOW_MAX samples are kept per
-# process, at most _FIT_OPERATOR_CACHE_SIZE of them. Small windows recur in
-# the schedule of every series; a large one recurs only for series of about
-# the same length, and its operators take memory in proportion to w.
-_CACHED_WINDOW_MAX = 1023
+# Bounds the fit operators kept per process; the study workload run in one
+# process meets about 730 distinct (w, order) keys.
 _FIT_OPERATOR_CACHE_SIZE = 1024
 
 
@@ -147,8 +144,7 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
 
     # least-squares polynomial fit of every segment at once
     segments = np.lib.stride_tricks.sliding_window_view(u, w)[starts]
-    fit_operators = _fit_operators if w <= _CACHED_WINDOW_MAX else _fit_operators.__wrapped__
-    solve_t, design_t = fit_operators(w, order)
+    solve_t, design_t = _fit_operators(w, order)
     fits = (segments @ solve_t) @ design_t
 
     v = np.empty(n_samples)
