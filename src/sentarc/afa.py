@@ -36,6 +36,10 @@ DEFAULT_N_WINDOWS = 15
 #: Fewest windows with a nonzero residual the log-log fit accepts.
 MIN_WINDOWS_FOR_FIT = 5
 
+# Peak magnitudes the estimator works on unscaled: outside this band the
+# profile or its squared residuals could overflow or underflow.
+_UNSCALED_PEAK = (2.0**-400, 2.0**400)
+
 # Bounds the fit operators kept per process; the study workload run in one
 # process meets about 730 distinct (w, order) keys.
 _FIT_OPERATOR_CACHE_SIZE = 1024
@@ -198,6 +202,8 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
     zero residual, and fits ordinary least squares of log2 F(w) on log2 w.
     `order` is the polynomial order of the local fits. The slope is the
     estimate; the line's R^2 grades how well the scaling relation holds.
+    Any finite magnitude is accepted: a series whose peak |x| lies outside
+    [2^-400, 2^400] is first rescaled exactly by a power of two.
 
     Raises ValueError for a negative order, for input that is not 1-D and
     on NaN or infinite input, SeriesTooShortError below 60 samples, and
@@ -223,6 +229,10 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
     # profile, so rule it out exactly rather than through F(w)
     if np.all(x == x[0]):
         raise DegenerateSeriesError("degenerate series: constant input")
+    # H does not depend on scale; bring an extreme peak into [0.5, 1) exactly
+    peak = float(np.max(np.abs(x)))
+    if not _UNSCALED_PEAK[0] <= peak <= _UNSCALED_PEAK[1]:
+        x = np.ldexp(x, -np.frexp(peak)[1])
 
     u = profile(x)
     points = []

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lexicon import Lexicon
+from .lexicon import NEUTRAL_VALENCE, Lexicon
 
 # Tokens are maximal runs of letters, optionally joined by internal
 # apostrophes ("don't" stays one token). Digits and punctuation separate.
@@ -63,14 +63,13 @@ def tokenize(text: str) -> list[str]:
 def sentiment_series(tokens: list[str], lexicon: Lexicon, story_id: str = "") -> SentimentArc:
     """Map tokens to their valence values.
 
-    Out-of-vocabulary tokens score the lexicon's neutral value. Coverage is
-    0 for an empty token list.
+    Out-of-vocabulary tokens score NEUTRAL_VALENCE. Coverage is 0 for an
+    empty token list.
     """
     n = len(tokens)
     found = list(map(lexicon.entries.get, tokens))
     misses = found.count(None)
-    neutral = lexicon.neutral_value
-    raw = np.array([neutral if v is None else v for v in found], dtype=float)
+    raw = np.array([NEUTRAL_VALENCE if v is None else v for v in found], dtype=float)
     coverage = (n - misses) / n if n else 0.0
     return SentimentArc(
         story_id=story_id, raw=raw, smooth=raw.copy(), coverage=coverage, n_tokens=n

@@ -18,7 +18,9 @@ import contextlib
 import itertools
 import logging
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -84,12 +86,42 @@ def _read_series(path: str) -> list[float]:
 
 
 @contextlib.contextmanager
-def _open_out(path: str | None):
+def _open_out(path: str | os.PathLike | None):
+    """Text sink for an output path; None and `-` mean stdout.
+
+    A new or regular file is written through a temporary file in its
+    directory, renamed over it only when the body succeeds, with the mode
+    `open(path, "w")` gives. Symlinks and other existing paths that are not
+    regular files, such as /dev/null, /dev/stdout or a FIFO, are written in
+    place.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if os.path.islink(path) or not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    except OSError as exc:
+        exc.filename = path  # name the output, not the temporary file
+        raise
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _int_at_least(minimum: int):
@@ -195,11 +227,11 @@ def _cmd_analyze(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_out(out_dir / "results.csv") as fh:
         serialize.write_results_csv(records, fh)
-    with open(out_dir / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_out(out_dir / "scatter.csv") as fh:
         serialize.write_scatter_csv(records, fh)
-    with open(out_dir / "ratings_scatter.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_out(out_dir / "ratings_scatter.csv") as fh:
         serialize.write_ratings_scatter_csv(records, fh)
 
     thresholds = sorted(set(args.min_ratings if args.min_ratings else [0, 30]))
@@ -216,7 +248,7 @@ def _cmd_analyze(args) -> int:
             )
         except SentarcError as exc:
             log.warning("threshold %d skipped: %s", threshold, exc)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+    with _open_out(out_dir / "report.json") as fh:
         fh.write(serialize.reports_json(reports))
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import arc as arc_mod
@@ -172,23 +172,23 @@ def load_id_mapping(path) -> dict[str, str]:
     return mapping
 
 
-def _analyze_story(
-    story: Story, lexicon: Lexicon, order: int
-) -> tuple[str, int, float, float | None, float | None, str]:
+def _analyze_story(story: Story, lexicon: Lexicon, order: int) -> StoryRecord:
+    """The story's record before the rating join."""
     series = arc_mod.arc_from_text(story.text, lexicon, story.id)
+    hurst = r_squared = None
     try:
         result = estimate_hurst(series.raw, order)
     except SeriesTooShortError:
-        return story.id, series.n_tokens, series.coverage, None, None, STATUS_TOO_SHORT
+        status = STATUS_TOO_SHORT
     except DegenerateSeriesError:
-        return story.id, series.n_tokens, series.coverage, None, None, STATUS_DEGENERATE
-    return (
-        story.id,
-        series.n_tokens,
-        series.coverage,
-        result.hurst,
-        result.r_squared,
-        STATUS_OK,
+        status = STATUS_DEGENERATE
+    else:
+        hurst, r_squared, status = result.hurst, result.r_squared, STATUS_OK
+    return StoryRecord(
+        id=story.id, title=story.title, n_tokens=series.n_tokens, coverage=series.coverage,
+        hurst=hurst, r_squared=r_squared, avg_rating=None, n_ratings=None,
+        sweet_spot=hurst is not None and SWEET_SPOT_LOW <= hurst <= SWEET_SPOT_HIGH,
+        status=status,
     )
 
 
@@ -231,30 +231,14 @@ def analyze_corpus(
             initializer=_init_worker,
             initargs=(lexicon, order),
         ) as pool:
-            raw_results = list(pool.map(_run_worker, corpus, chunksize=4))
+            records = list(pool.map(_run_worker, corpus, chunksize=4))
     else:
-        raw_results = [_analyze_story(s, lexicon, order) for s in corpus]
+        records = [_analyze_story(s, lexicon, order) for s in corpus]
 
-    records = []
-    for story, (sid, n_tokens, coverage, hurst, r_squared, status) in zip(
-        corpus, raw_results
-    ):
-        rating = by_id.get(mapping.get(sid, sid))
-        sweet = hurst is not None and SWEET_SPOT_LOW <= hurst <= SWEET_SPOT_HIGH
-        records.append(
-            StoryRecord(
-                id=sid,
-                title=story.title,
-                n_tokens=n_tokens,
-                coverage=coverage,
-                hurst=hurst,
-                r_squared=r_squared,
-                avg_rating=rating.avg_rating if rating else None,
-                n_ratings=rating.n_ratings if rating else None,
-                sweet_spot=sweet,
-                status=status,
-            )
-        )
+    for i, record in enumerate(records):
+        rating = by_id.get(mapping.get(record.id, record.id))
+        if rating:
+            records[i] = replace(record, avg_rating=rating.avg_rating, n_ratings=rating.n_ratings)
 
     if records and not any(r.status == STATUS_OK for r in records):
         raise CorpusError("no story produced a Hurst estimate")

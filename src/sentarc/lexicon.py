@@ -23,14 +23,13 @@ NEUTRAL_VALENCE = 0.5
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Immutable word -> valence map with a neutral fallback for unknown words.
+    """Immutable word -> valence map; unknown words score NEUTRAL_VALENCE.
 
     Keys are lowercased at load time; callers are expected to pass
     already-lowercased tokens (the tokenizer does).
     """
 
     entries: dict[str, float]
-    neutral_value: float = NEUTRAL_VALENCE
     n_duplicates: int = 0
     n_rejected: int = 0
 
@@ -39,8 +38,8 @@ class Lexicon:
         return len(self.entries)
 
     def valence(self, token: str) -> float:
-        """Stored valence for `token`, or the neutral value if absent. Never fails."""
-        return self.entries.get(token, self.neutral_value)
+        """Stored valence for `token`, or NEUTRAL_VALENCE if absent. Never fails."""
+        return self.entries.get(token, NEUTRAL_VALENCE)
 
     def __contains__(self, token: str) -> bool:
         return token in self.entries
@@ -53,7 +52,7 @@ def _parse_float(text: str) -> float | None:
         return None
 
 
-def load_lexicon(path, neutral: float = NEUTRAL_VALENCE) -> Lexicon:
+def load_lexicon(path) -> Lexicon:
     """Load a tab-separated valence lexicon.
 
     Duplicate words keep the last occurrence (counted in `n_duplicates`).
@@ -93,12 +92,7 @@ def load_lexicon(path, neutral: float = NEUTRAL_VALENCE) -> Lexicon:
             n_duplicates += 1
         entries[word] = value
 
-    return Lexicon(
-        entries=entries,
-        neutral_value=neutral,
-        n_duplicates=n_duplicates,
-        n_rejected=n_rejected,
-    )
+    return Lexicon(entries=entries, n_duplicates=n_duplicates, n_rejected=n_rejected)
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:

@@ -8,8 +8,9 @@ boundaries elsewhere.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -38,16 +39,21 @@ def _opt(value) -> str:
     return str(value)
 
 
+def _write_csv(out: IO[str], header: list[str], rows: Iterable[Iterable]) -> None:
+    """One CSV table: the header, then each row's cells through `_opt`."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_opt, row) for row in rows)
+
+
 def write_arc_csv(arc: SentimentArc, out: IO[str]) -> None:
-    out.write("index,raw,smooth\n")
-    for i in range(arc.n_tokens):
-        out.write(f"{i},{fmt_float(arc.raw[i])},{fmt_float(arc.smooth[i])}\n")
+    rows = zip(range(arc.n_tokens), arc.raw.tolist(), arc.smooth.tolist())
+    _write_csv(out, ["index", "raw", "smooth"], rows)
 
 
 def write_window_csv(summary: WindowSummary, out: IO[str]) -> None:
-    out.write("window,mean,std\n")
-    for i in range(summary.means.size):
-        out.write(f"{i},{fmt_float(summary.means[i])},{fmt_float(summary.stds[i])}\n")
+    rows = zip(range(summary.means.size), summary.means.tolist(), summary.stds.tolist())
+    _write_csv(out, ["window", "mean", "std"], rows)
 
 
 def write_series_csv(values: Sequence[float] | np.ndarray, out: IO[str]) -> None:
@@ -63,38 +69,26 @@ def write_series_csv(values: Sequence[float] | np.ndarray, out: IO[str]) -> None
 
 
 def write_points_csv(result: AfaResult, out: IO[str]) -> None:
-    out.write("log2_w,log2_F\n")
-    for log_w, log_f in result.points:
-        out.write(f"{fmt_float(log_w)},{fmt_float(log_f)}\n")
+    _write_csv(out, ["log2_w", "log2_F"], result.points)
+
+
+def _json_object(obj, keys: Iterable[str]) -> str:
+    """`obj`'s attributes as a one-line JSON object, in `keys` order."""
+    items = ((key, getattr(obj, key)) for key in keys)
+    body = ", ".join(f'"{k}": {"null" if v is None else _opt(v)}' for k, v in items)
+    return "{" + body + "}"
 
 
 def hurst_json(result: AfaResult) -> str:
-    return (
-        "{"
-        f'"hurst": {fmt_float(result.hurst)}, '
-        f'"intercept": {fmt_float(result.intercept)}, '
-        f'"r_squared": {fmt_float(result.r_squared)}, '
-        f'"n_points": {result.n_points}'
-        "}"
-    )
+    return _json_object(result, ("hurst", "intercept", "r_squared", "n_points"))
 
 
 def report_json(report: CorrelationReport) -> str:
-    dcor_p = "null" if report.distance_corr_p is None else fmt_float(report.distance_corr_p)
-    return (
-        "{"
-        f'"min_ratings_filter": {report.min_ratings_filter}, '
-        f'"n": {report.n}, '
-        f'"pearson_r": {fmt_float(report.pearson_r)}, '
-        f'"pearson_p": {fmt_float(report.pearson_p)}, '
-        f'"spearman_rho": {fmt_float(report.spearman_rho)}, '
-        f'"spearman_p": {fmt_float(report.spearman_p)}, '
-        f'"kendall_tau": {fmt_float(report.kendall_tau)}, '
-        f'"kendall_p": {fmt_float(report.kendall_p)}, '
-        f'"distance_corr": {fmt_float(report.distance_corr)}, '
-        f'"distance_corr_p": {dcor_p}'
-        "}"
+    keys = (
+        "min_ratings_filter", "n", "pearson_r", "pearson_p", "spearman_rho",
+        "spearman_p", "kendall_tau", "kendall_p", "distance_corr", "distance_corr_p",
     )
+    return _json_object(report, keys)
 
 
 def reports_json(reports: list[CorrelationReport]) -> str:
@@ -131,23 +125,8 @@ RESULTS_HEADER = list(_RESULTS_FIELDS)
 
 
 def write_results_csv(records: list[StoryRecord], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RESULTS_HEADER)
-    for r in records:
-        writer.writerow(
-            [
-                r.id,
-                r.title,
-                r.n_tokens,
-                fmt_float(r.coverage),
-                _opt(r.hurst),
-                _opt(r.r_squared),
-                _opt(r.avg_rating),
-                _opt(r.n_ratings),
-                _opt(r.sweet_spot),
-                r.status,
-            ]
-        )
+    rows = ((getattr(r, name) for name in RESULTS_HEADER) for r in records)
+    _write_csv(out, RESULTS_HEADER, rows)
 
 
 def read_results_csv(text: str, path: str) -> list[StoryRecord]:
@@ -157,56 +136,47 @@ def read_results_csv(text: str, path: str) -> list[StoryRecord]:
     count, or an unparsable or non-finite value raises SentarcError naming
     the line and column.
     """
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or rows[0] != RESULTS_HEADER:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if next(reader, None) != RESULTS_HEADER:
         raise SentarcError(f"{path}: not a results.csv (unexpected header)")
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(_RESULTS_FIELDS):
             raise SentarcError(
-                f"{path}:{lineno}: expected {len(_RESULTS_FIELDS)} fields, got {len(row)}"
+                f"{path}:{reader.line_num}: expected {len(_RESULTS_FIELDS)} fields, got {len(row)}"
             )
         fields = {}
         for (name, parse), item in zip(_RESULTS_FIELDS.items(), row):
             try:
                 fields[name] = parse(item)
             except ValueError as exc:
-                raise SentarcError(f"{path}:{lineno}: {name}: {exc}") from None
+                raise SentarcError(f"{path}:{reader.line_num}: {name}: {exc}") from None
         records.append(StoryRecord(**fields))
     return records
 
 
 def write_scatter_csv(records: list[StoryRecord], out: IO[str]) -> None:
     """Hurst/rating pairs for the stories that have both."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["hurst", "avg_rating", "n_ratings", "title"])
-    for r in records:
-        if r.hurst is None or r.avg_rating is None:
-            continue
-        writer.writerow([fmt_float(r.hurst), fmt_float(r.avg_rating), r.n_ratings, r.title])
+    rows = (
+        (r.hurst, r.avg_rating, r.n_ratings, r.title)
+        for r in records
+        if r.hurst is not None and r.avg_rating is not None
+    )
+    _write_csv(out, ["hurst", "avg_rating", "n_ratings", "title"], rows)
 
 
 def write_ratings_scatter_csv(records: list[StoryRecord], out: IO[str]) -> None:
     """Rating count against average rating for every rated story."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "n_ratings", "avg_rating"])
-    for r in records:
-        if r.avg_rating is None:
-            continue
-        writer.writerow([r.id, r.n_ratings, fmt_float(r.avg_rating)])
+    rows = ((r.id, r.n_ratings, r.avg_rating) for r in records if r.avg_rating is not None)
+    _write_csv(out, ["id", "n_ratings", "avg_rating"], rows)
 
 
 def write_labels_csv(labels: dict[str, int], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "cluster"])
-    for story_id in sorted(labels):
-        writer.writerow([story_id, labels[story_id]])
+    _write_csv(out, ["id", "cluster"], sorted(labels.items()))
 
 
 def write_merges_csv(merges: list[Merge], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["step", "cluster_a", "cluster_b", "height", "size"])
-    for step, m in enumerate(merges):
-        writer.writerow([step, m.a, m.b, fmt_float(m.height), m.size])
+    rows = ((step, m.a, m.b, m.height, m.size) for step, m in enumerate(merges))
+    _write_csv(out, ["step", "cluster_a", "cluster_b", "height", "size"], rows)

@@ -362,6 +362,31 @@ def test_estimate_shift_scale_equivariant():
     assert abs(base.r_squared - moved.r_squared) < 1e-9
 
 
+_FGN_07 = fgn(SynthSpec(0.7, 4096, 1))
+
+
+@pytest.mark.parametrize(
+    "series,reference",
+    [
+        (_FGN_07 * 1e300, _FGN_07),
+        (_FGN_07 * 1e-300, _FGN_07),
+        (_FGN_07 * 2.0**1000, _FGN_07),
+        (_FGN_07 * 2.0**-1000, _FGN_07),
+        (np.sign(_FGN_07) * 1e308, np.sign(_FGN_07)),
+    ],
+    ids=["x1e300", "x1e-300", "x2^1000", "x2^-1000", "sign_x1e308"],
+)
+def test_extreme_magnitudes_estimate_as_unit_scale(series, reference):
+    # these overflowed to nan or underflowed to "degenerate" before the
+    # power-of-two rescale; H does not depend on scale
+    got = estimate_hurst(series)
+    want = estimate_hurst(reference)
+    assert np.isfinite(got.hurst) and np.isfinite(got.r_squared)
+    assert abs(got.hurst - want.hurst) < 1e-12
+    assert abs(got.r_squared - want.r_squared) < 1e-12
+    assert got.n_points == want.n_points
+
+
 def test_estimate_deterministic_bit_identical():
     series = white_noise(2048, 21)
     first = estimate_hurst(series)

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import fgn_token_text, package_env, write_graded_lexicon_file, write_story
-from sentarc.cli import _read_series, main
+from sentarc import SynthSpec, estimate_hurst, fgn
+from sentarc import serialize
+from sentarc.cli import _open_out, _read_series, main
 from sentarc.errors import SentarcError
 
 
@@ -124,6 +128,21 @@ def test_hurst_series_rejects_non_finite_value(tmp_path, capsys, bad):
     code, _, err = run_cli(["hurst", "--series", str(series_path)], capsys)
     assert code == 1
     assert "non-finite value" in err and "at index 100" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+def test_hurst_series_accepts_extreme_magnitude(tmp_path, capsys):
+    noise = fgn(SynthSpec(0.7, 4096, 1))
+    unit = estimate_hurst(noise).hurst
+    series_path = tmp_path / "huge.csv"
+    series_path.write_text("".join(f"{float(v * 1e300)!r}\n" for v in noise))
+    code, out, _ = run_cli(["hurst", "--series", str(series_path)], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["hurst"] == pytest.approx(unit, abs=1e-12)
 
 
 @pytest.mark.parametrize("order", ["0", "1", "2"])
@@ -410,6 +429,96 @@ def test_analyze_rejects_nonpositive_jobs(tmp_path, lexicon_path, small_corpus, 
     assert code == 1
     assert "--jobs" in err
     assert not out_dir.exists()
+
+
+def test_analyze_failed_write_keeps_previous_file(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch
+):
+    corpus, ratings = small_corpus
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "scatter.csv").write_text("previous study\n")
+
+    def half_then_fail(records, out):
+        out.write("hurst,avg_rating,n_ratings,title\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(serialize, "write_scatter_csv", half_then_fail)
+    code, _, err = run_cli(
+        [
+            "analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings), "--out", str(out_dir), "--jobs", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "disk full" in err
+    assert (out_dir / "scatter.csv").read_text() == "previous study\n"
+    # results.csv was complete before the failure, so it was renamed in
+    assert sorted(p.name for p in out_dir.iterdir()) == ["results.csv", "scatter.csv"]
+
+
+# ----------------------------------------------------------------- outputs
+
+
+def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old bytes\n")
+    with pytest.raises(RuntimeError):
+        with _open_out(target) as fh:
+            fh.write("half a fi")
+            raise RuntimeError("crash mid-write")
+    assert target.read_text() == "old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_open_out_mode_matches_plain_open(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        with _open_out(tmp_path / "new.csv") as fh:
+            fh.write("x\n")
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o604)
+        with _open_out(existing) as fh:
+            fh.write("new\n")
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+    assert existing.read_text() == "new\n"
+
+
+def test_open_out_writes_through_a_symlink(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    with _open_out(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink()
+    assert real.read_text() == "new\n"
+
+
+def test_out_dev_null_still_written_in_place(tmp_path, capsys):
+    series_path = tmp_path / "series.csv"
+    series_path.write_text("\n".join(map(str, range(200))) + "\n")
+    code, out, err = run_cli(
+        ["hurst", "--series", str(series_path), "--out", os.devnull,
+         "--points-out", os.devnull],
+        capsys,
+    )
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_in_missing_directory_names_the_output(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "fgn.csv"
+    code, _, err = run_cli(
+        ["synth", "--h", "0.7", "--n", "64", "--out", str(target)], capsys
+    )
+    assert code == 1
+    assert str(target) in err and ".tmp" not in err
 
 
 # --------------------------------------------------------------- correlate

@@ -81,12 +81,6 @@ def test_oov_returns_neutral():
     assert lex.valence("") == 0.5
 
 
-def test_custom_neutral(tmp_path):
-    path = write_lexicon_file(tmp_path / "lex.tsv", ["a\t0.1"])
-    lex = load_lexicon(path, neutral=0.4)
-    assert lex.valence("missing") == 0.4
-
-
 def test_missing_file_raises():
     with pytest.raises(LexiconError):
         load_lexicon("/no/such/lexicon.tsv")

@@ -3,11 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentarc import AfaResult, CorrelationReport, StoryRecord
+from sentarc.errors import SentarcError
 from sentarc.serialize import (
     fmt_float,
     hurst_json,
+    read_results_csv,
     report_json,
     reports_json,
     write_results_csv,
@@ -83,6 +87,69 @@ def test_results_csv_blank_fields_for_missing_values():
     write_results_csv([record], buf)
     lines = buf.getvalue().splitlines()
     assert lines[1] == 'tale,"Tale, the first",20,0.25,,,,,false,too_short'
+
+
+def results_csv(records) -> str:
+    buf = io.StringIO()
+    write_results_csv(records, buf)
+    return buf.getvalue()
+
+
+def make_record(**overrides):
+    base = dict(
+        id="tale", title="Tale", n_tokens=100, coverage=0.5, hurst=0.6, r_squared=0.9,
+        avg_rating=4.0, n_ratings=50, sweet_spot=True, status="ok",
+    )
+    base.update(overrides)
+    return StoryRecord(**base)
+
+
+# Separators str.splitlines() breaks on; a story id is a file stem and may
+# hold any of them. A lone "\r" is left out: csv.writer with a "\n" line
+# terminator writes it unquoted, so it cannot be read back.
+SEPARATORS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("sep", list(SEPARATORS) + ["\r\n"], ids=repr)
+def test_results_csv_reads_back_ids_with_line_separators(sep):
+    records = [make_record(id=f"a{sep}b", title=f"A{sep}B, part 1"), make_record(id="c")]
+    assert read_results_csv(results_csv(records), "results.csv") == records
+
+
+def test_results_csv_error_names_physical_line_after_quoted_newline():
+    text = results_csv([make_record(id="two\nlines")]) + "a,A,100,1,0.6\n"
+    with pytest.raises(SentarcError, match=r"^results.csv:4: expected 10 fields, got 5$"):
+        read_results_csv(text, "results.csv")
+
+
+_text = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")
+    | st.sampled_from(',"' + SEPARATORS)
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def story_records(draw):
+    hurst = draw(st.none() | _finite)
+    return StoryRecord(
+        id=draw(_text),
+        title=draw(_text),
+        n_tokens=draw(st.integers(0, 10**9)),
+        coverage=draw(_finite),
+        hurst=hurst,
+        r_squared=None if hurst is None else draw(_finite),
+        avg_rating=draw(st.none() | _finite),
+        n_ratings=draw(st.none() | st.integers(0, 10**9)),
+        sweet_spot=draw(st.booleans()),
+        status=draw(st.sampled_from(["ok", "too_short", "degenerate"])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(story_records(), max_size=5))
+def test_results_csv_round_trip(records):
+    assert read_results_csv(results_csv(records), "results.csv") == records
 
 
 def test_scatter_skips_incomplete_records():
