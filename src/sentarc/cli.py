@@ -23,6 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import arc as arc_mod
 from . import corpus as corpus_mod
@@ -54,19 +56,21 @@ def _read_text(path: str) -> str:
         raise SentarcError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_series(path: str) -> list[float]:
+def _read_series(path: str) -> np.ndarray:
     """One-column numeric series; an optional non-numeric first line is a header.
 
     Each line must hold exactly one number, so a multi-column CSV is an
     error rather than silently read by its first column. Blank lines are
-    skipped.
+    skipped. The values go straight into a float64 array, never a list of
+    Python floats.
     """
     lines = _read_text(path).splitlines()
     # bulk path: every line is a number, or every line but a first-line
     # header; anything else goes through the loop, which names the bad line
     for skip in (0, 1):
         try:
-            return list(map(float, itertools.islice(lines, skip, None)))
+            values = map(float, itertools.islice(lines, skip, None))
+            return np.fromiter(values, float, count=len(lines) - skip)
         except ValueError:
             pass
     values = []
@@ -82,7 +86,7 @@ def _read_series(path: str) -> list[float]:
             raise SentarcError(
                 f"{path}:{lineno}: expected one numeric column, got {item!r}"
             ) from None
-    return values
+    return np.array(values, dtype=float)
 
 
 @contextlib.contextmanager

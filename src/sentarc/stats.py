@@ -41,6 +41,8 @@ def _validated_pair(x, y, min_n: int = 3) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
     if xa.size < min_n:
         raise ValueError(f"need at least {min_n} observations, got {xa.size}")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("inputs must be finite")
     return xa, ya
 
 
@@ -92,6 +94,97 @@ def _tie_sizes(values: np.ndarray) -> np.ndarray:
     return counts[counts > 1].astype(float)
 
 
+def _merge_plan(n: int) -> list[tuple[np.ndarray, ...]]:
+    """Index arrays for each level of a bottom-up merge over n positions.
+
+    At level w (1, 2, 4, ... below n), block k covers positions [2kw,
+    2kw + 2w): the first w form its left half, the rest its right half.
+    Per level the tuple holds each position's key offset k·(n + 1); the
+    positions of all left halves, and of all right halves; and for each
+    right position, where its block's left half ends among the left
+    positions, (k + 1)·w, and k·w plus its offset in the right half,
+    which `_merge_levels` adds to its count of lower-ranked left
+    elements to find its merged position. (k + 1)·w is exact because a
+    block with a right half has a full left half.
+    """
+    plan = []
+    pos = np.arange(n)
+    w = 1
+    while w < n:
+        block, offset = np.divmod(pos, 2 * w)
+        right = np.flatnonzero(offset >= w)
+        right_block = block[right]
+        plan.append((
+            block * (n + 1),
+            np.flatnonzero(offset < w),
+            right,
+            (right_block + 1) * w,
+            right_block * w + offset[right] - w,
+        ))
+        w *= 2
+    return plan
+
+
+def _merge_levels(rank: np.ndarray, plan: list[tuple[np.ndarray, ...]]):
+    """Bottom-up merge sort of integer ranks in [0, n], level by level.
+
+    Yields, per level of `plan`, the original indices of the left-half
+    elements in (block, rank) order, those of the right-half elements,
+    and for each right element `below` and `end`: the left elements of
+    its own block ranked strictly above it are `left[below:end]`. Every
+    pair i < j meets at exactly one level, as a left and a right element
+    of one block, so summing over those slices visits each pair (i, j)
+    with rank[i] > rank[j] once: these are the inversions Knight's
+    algorithm counts (Knight 1966, JASA 61:436). One searchsorted per
+    level over the keys block·(n + 1) + rank, which the left halves hold
+    sorted, finds `below`; the merge then places the right elements and
+    fills the free slots with the left ones in order: O(n log n) time
+    per level, O(n log² n) in all, and O(n) memory.
+    """
+    n = rank.size
+    order = np.arange(n)
+    free = np.empty(n, dtype=bool)
+    for key_offset, left_pos, right_pos, end, merged_base in plan:
+        keys = key_offset + rank[order]
+        left = order[left_pos]
+        right = order[right_pos]
+        below = np.searchsorted(keys[left_pos], keys[right_pos], side="right")
+        yield left, right, below, end
+        dest = merged_base + below
+        order = np.empty_like(order)
+        order[dest] = right
+        free.fill(True)
+        free[dest] = False
+        order[free] = left
+
+
+def _tied_pairs(run_starts: np.ndarray) -> int:
+    """Pairs within runs of equal values, given where each run starts."""
+    runs = np.diff(np.append(np.flatnonzero(run_starts), run_starts.size))
+    return int(np.sum(runs * (runs - 1) // 2))
+
+
+def _kendall_s(xa: np.ndarray, ya: np.ndarray) -> int:
+    """Kendall's S = sum over pairs i < j of sign(Δx)·sign(Δy), exactly.
+
+    Knight's count: in (x, y) order every pair i < j has x_i <= x_j, and
+    it is discordant exactly when y_i > y_j, an inversion of y's ranks.
+    So S = n0 - n1 - n2 + n3 - 2·D, where n0 counts all pairs, n1 and n2
+    the pairs tied in x and in y, n3 those tied in both, and D the
+    inversions.
+    """
+    n = xa.size
+    order = np.lexsort((ya, xa))
+    xs, ys = xa[order], ya[order]
+    x_starts = np.concatenate(([True], xs[1:] != xs[:-1]))
+    xy_starts = x_starts | np.concatenate(([False], ys[1:] != ys[:-1]))
+    _, y_rank, y_counts = np.unique(ya, return_inverse=True, return_counts=True)
+    levels = _merge_levels(y_rank[order], _merge_plan(n))
+    discordant = sum(int(np.sum(end - below)) for _, _, below, end in levels)
+    n2 = int(np.sum(y_counts * (y_counts - 1) // 2))
+    return n * (n - 1) // 2 - _tied_pairs(x_starts) - n2 + _tied_pairs(xy_starts) - 2 * discordant
+
+
 def kendall_tau(x, y) -> tuple[float, float]:
     """Tie-corrected Kendall rank correlation (tau-b).
 
@@ -100,9 +193,8 @@ def kendall_tau(x, y) -> tuple[float, float]:
     """
     xa, ya = _validated_pair(x, y)
     n = xa.size
-    # each pair counts twice and the diagonal is zero; every partial sum
-    # is an integer below 2**53, so the halved total is exact
-    s = float(np.vdot(np.sign(xa[:, None] - xa), np.sign(ya[:, None] - ya))) / 2
+    # an integer far below 2**53, so the float is exact
+    s = float(_kendall_s(xa, ya))
 
     n0 = n * (n - 1) / 2.0
     tx = _tie_sizes(xa)
@@ -133,29 +225,38 @@ def kendall_tau(x, y) -> tuple[float, float]:
 
 
 def _centered_distances(values: np.ndarray) -> np.ndarray:
-    d = np.abs(values[:, None] - values[None, :])
-    return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+    # in place, with the three means taken first and applied in the order
+    # of d - mean0 - mean1 + grand: the same bits with one n x n buffer
+    d = np.subtract.outer(values, values)
+    np.abs(d, out=d)
+    col = d.mean(axis=0, keepdims=True)
+    row = d.mean(axis=1, keepdims=True)
+    grand = d.mean()
+    d -= col
+    d -= row
+    d += grand
+    return d
 
 
 def _dcor_kernel(x, y):
-    """Centered distance matrix `b` of y, and a function giving the
-    distance correlation of x with `b` or with `b` permuted on rows and
-    columns alike; the function is None when either input has zero
-    distance variance (a constant sequence)."""
+    """Centered distance matrix `b` of y, the scale sqrt(dVar(x)·dVar(y)),
+    and a function giving the clamped ratio mean(a·b')/scale, whose square
+    root is the distance correlation of x with `b'` (`b` itself or `b`
+    permuted on rows and columns alike); scale and function are None when
+    either input has zero distance variance (a constant sequence)."""
     xa, ya = _validated_pair(x, y)
     a = _centered_distances(xa)
     b = _centered_distances(ya)
     dvar_x = float(np.mean(a * a))
     dvar_y = float(np.mean(b * b))
     if dvar_x == 0.0 or dvar_y == 0.0:
-        return b, None
+        return b, None, None
     scale = math.sqrt(dvar_x * dvar_y)
 
-    def dcor(b_mat: np.ndarray) -> float:
-        ratio = float(np.mean(a * b_mat)) / scale
-        return math.sqrt(min(max(ratio, 0.0), 1.0))
+    def ratio(b_mat: np.ndarray) -> float:
+        return min(max(float(np.mean(a * b_mat)) / scale, 0.0), 1.0)
 
-    return b, dcor
+    return b, scale, ratio
 
 
 def distance_correlation(x, y) -> float:
@@ -164,8 +265,70 @@ def distance_correlation(x, y) -> float:
     Lies in [0, 1]; returns 0 when either input has zero distance
     variance (a constant sequence).
     """
-    b, dcor = _dcor_kernel(x, y)
-    return 0.0 if dcor is None else dcor(b)
+    b, _, ratio = _dcor_kernel(x, y)
+    return 0.0 if ratio is None else math.sqrt(ratio(b))
+
+
+def _distance_sums(values: np.ndarray) -> np.ndarray:
+    """sum_j |v_i - v_j| for every i, from one sort and a cumulative sum."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    below = np.arange(v.size)
+    csum = np.cumsum(v)
+    out = np.empty_like(v)
+    out[order] = v * below - (csum - v) + (csum[-1] - csum) - v * (v.size - 1 - below)
+    return out
+
+
+def _permuted_dcov(xa: np.ndarray, ya: np.ndarray):
+    """A function of a permutation p giving (mean(a·b_p), size): the
+    cross term of the distance covariance of x with y[p], and the sum of
+    the absolute values of the terms it is built from.
+
+    For doubly-centered a and b and raw distances |Δx|, |Δy|, row sums
+    r_i and s_i and totals R and S,
+        n²·mean(a·b) = Σ_ij |Δx||Δy| − (2/n)·Σ_i r_i s_i + R·S/n².
+    Only the first two terms change under p. In x order, Σ_i<j |Δx||Δy|
+    is Σ_i<j Δx·Δy = n·Σxy − Σx·Σy less twice the sum of Δx·Δy over the
+    pairs with y_i > y_j, which the merge of `_merge_levels` visits,
+    with prefix sums of x, y and xy over each left half: O(n log² n) time and O(n) memory per
+    draw, the univariate fast dCov of Huo & Székely (2016, Technometrics
+    58:435). x and y are centered first, which leaves every distance as
+    it is and keeps the prefix sums of an offset series from cancelling.
+    """
+    n = xa.size
+    xc = xa - xa.mean()
+    yc = ya - ya.mean()
+    by_x = np.argsort(xc, kind="stable")
+    xs = xc[by_x]
+    y_rank = np.unique(ya, return_inverse=True)[1]
+    plan = _merge_plan(n)
+    row_x = _distance_sums(xc)
+    row_y = _distance_sums(yc)
+    totals = float(row_x.sum()) * float(row_y.sum()) / n**2
+
+    def cross(perm: np.ndarray) -> tuple[float, float]:
+        pairing = perm[by_x]
+        ys = yc[pairing]
+        weights = np.stack((xs, ys, xs * ys))
+        inverted = 0.0
+        prefix = np.zeros((3, n + 1))
+        for left, right, below, end in _merge_levels(y_rank[pairing], plan):
+            np.cumsum(weights[:, left], axis=1, out=prefix[:, 1 : left.size + 1])
+            sums = prefix[:, end] - prefix[:, below]
+            xr, yr = xs[right], ys[right]
+            inverted += float((end - below) @ (xr * yr) - xr @ sums[1] - yr @ sums[0] + sums[2].sum())
+        pairs = n * float(xs @ ys) - float(xs.sum()) * float(ys.sum()) - 2.0 * inverted
+        rows = 2.0 * float(row_x @ row_y[perm]) / n
+        return (2.0 * pairs - rows + totals) / n**2, (2.0 * pairs + rows + totals) / n**2
+
+    return cross
+
+
+# Half-width of the band, in units of `size`, around the observed cross
+# term in which a permutation draw is left to the dense kernel; see
+# distance_correlation_test.
+_DCOR_MARGIN = 1e-9
 
 
 def distance_correlation_test(
@@ -175,18 +338,41 @@ def distance_correlation_test(
 
     Permutes y `permutations` times under a fixed seed and reports
     (1 + #{dcor_perm >= dcor}) / (1 + permutations).
+
+    The observed value comes from the dense kernel, as in
+    distance_correlation. Each draw's cross term comes from
+    `_permuted_dcov` in O(n) memory and settles the draw, unless its
+    clamped ratio lies within _DCOR_MARGIN·size/scale of the observed
+    ratio or is not a number; such a draw is recomputed by the dense
+    kernel. Why the margin is safe: the two kernels compute the same sum
+    and differ by rounding alone. That difference measured below
+    3e-15·size on tied, heavy-tailed, offset and outlier data up to n =
+    4,097, a factor above 10⁵ inside the margin; n·eps·size, what the
+    dense kernel's n² terms could lose if every rounding error added up,
+    is 2.2e-13·size at n = 1,000. So outside the band the dense ratio
+    lies on the same side of the observed ratio as the fast one,
+    clamping to [0, 1] cannot close that gap, and ratios that far apart
+    keep distinct square roots: every count is the one the dense kernel
+    alone gives.
     """
-    b, dcor = _dcor_kernel(x, y)
-    if dcor is None:
+    xa, ya = _validated_pair(x, y)
+    b, scale, ratio = _dcor_kernel(xa, ya)
+    if ratio is None:
         return 0.0, 1.0
     # Double centering commutes with a simultaneous row/column permutation,
     # and the distance variances are permutation-invariant, so only the
     # cross term changes per draw.
-    observed = dcor(b)
+    observed_ratio = ratio(b)
+    observed = math.sqrt(observed_ratio)
+    cross = _permuted_dcov(xa, ya)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(permutations):
-        perm = rng.permutation(b.shape[0])
-        if dcor(b[np.ix_(perm, perm)]) >= observed:
+        perm = rng.permutation(xa.size)
+        num, size = cross(perm)
+        fast = min(max(num / scale, 0.0), 1.0)
+        if abs(fast - observed_ratio) > _DCOR_MARGIN * size / scale:
+            hits += int(fast > observed_ratio)
+        elif math.sqrt(ratio(b[np.ix_(perm, perm)])) >= observed:
             hits += 1
     return observed, (1.0 + hits) / (1.0 + permutations)

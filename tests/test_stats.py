@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sentarc import (
     pearson,
     spearman,
 )
+from sentarc.stats import _kendall_s, _permuted_dcov
 
 # hundredths on a bounded grid: ties arise naturally, no underflow traps
 finite = st.integers(min_value=-10**6, max_value=10**6).map(lambda v: v / 100)
@@ -46,7 +48,8 @@ def ranks_oracle(values):
     return ranks
 
 
-def kendall_oracle(x, y):
+def kendall_s_oracle(x, y):
+    """Concordant minus discordant pairs, counted pair by pair."""
     n = len(x)
     concordant = discordant = 0
     for i in range(n):
@@ -56,10 +59,15 @@ def kendall_oracle(x, y):
                 concordant += 1
             elif prod < 0:
                 discordant += 1
+    return concordant - discordant
+
+
+def kendall_oracle(x, y):
+    n = len(x)
     n0 = n * (n - 1) / 2
     tx = sum(c * (c - 1) / 2 for c in _counts(x))
     ty = sum(c * (c - 1) / 2 for c in _counts(y))
-    return (concordant - discordant) / math.sqrt((n0 - tx) * (n0 - ty))
+    return kendall_s_oracle(x, y) / math.sqrt((n0 - tx) * (n0 - ty))
 
 
 def _counts(values):
@@ -69,7 +77,8 @@ def _counts(values):
     return [c for c in seen.values() if c > 1]
 
 
-def dcor_oracle(x, y):
+def dcov_oracle(x, y):
+    """Squared distance covariance and the two distance variances."""
     n = len(x)
     a = [[abs(x[i] - x[j]) for j in range(n)] for i in range(n)]
     b = [[abs(y[i] - y[j]) for j in range(n)] for i in range(n)]
@@ -84,9 +93,44 @@ def dcor_oracle(x, y):
     dcov2 = sum(ac[i][j] * bc[i][j] for i in range(n) for j in range(n)) / n**2
     dvx = sum(v * v for r in ac for v in r) / n**2
     dvy = sum(v * v for r in bc for v in r) / n**2
+    return dcov2, dvx, dvy
+
+
+def dcor_oracle(x, y):
+    dcov2, dvx, dvy = dcov_oracle(x, y)
     if dvx == 0 or dvy == 0:
         return 0.0
     return math.sqrt(max(dcov2, 0.0) / math.sqrt(dvx * dvy))
+
+
+def dcor_test_dense(x, y, permutations, seed):
+    """The permutation test with every draw on permuted n x n matrices:
+    the reference whose p-values distance_correlation_test must equal
+    bit for bit."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def centered(v):
+        d = np.abs(v[:, None] - v[None, :])
+        return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+
+    a, b = centered(x), centered(y)
+    dvar_x, dvar_y = float(np.mean(a * a)), float(np.mean(b * b))
+    if dvar_x == 0.0 or dvar_y == 0.0:
+        return 0.0, 1.0
+    scale = math.sqrt(dvar_x * dvar_y)
+
+    def dcor(b_mat):
+        return math.sqrt(min(max(float(np.mean(a * b_mat)) / scale, 0.0), 1.0))
+
+    observed = dcor(b)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(permutations):
+        perm = rng.permutation(x.size)
+        if dcor(b[np.ix_(perm, perm)]) >= observed:
+            hits += 1
+    return observed, (1.0 + hits) / (1.0 + permutations)
 
 
 def random_pairs(count, rng, with_ties=True):
@@ -216,6 +260,24 @@ def test_kendall_matches_scipy_tau_b():
         assert p == pytest.approx(ref.pvalue, abs=1e-10)
 
 
+tie_heavy = st.integers(min_value=0, max_value=4).map(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(tie_heavy | finite, min_size=3, max_size=300), st.data())
+def test_kendall_merge_count_equals_pair_count(x, data):
+    y = data.draw(st.lists(tie_heavy, min_size=len(x), max_size=len(x)))
+    assert _kendall_s(np.array(x), np.array(y)) == kendall_s_oracle(x, y)
+
+
+def test_kendall_memory_stays_linear():
+    rng = np.random.default_rng(8)
+    x = np.round(rng.uniform(0.2, 1.0, 3000), 3)
+    y = np.round(rng.uniform(1.0, 5.0, 3000), 1)
+    # pairwise sign matrices would hold 2 x 72 MB at this size
+    assert peak_bytes(kendall_tau, x, y) < 5 * 2**20
+
+
 def test_kendall_rejects_all_ties():
     with pytest.raises(ValueError):
         kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -267,6 +329,92 @@ def test_dcor_permutation_detects_strong_dependence():
     y = 2 * x + 0.01 * np.sin(40 * x)
     _, p = distance_correlation_test(x, y, permutations=499, seed=0)
     assert p < 0.02
+
+
+def test_fast_cross_term_matches_oracle():
+    rng = np.random.default_rng(9)
+    for x, y in random_pairs(20, rng):
+        if len(x) >= 6:
+            x[4] = x[5]
+            y[:3] = [round(v) for v in y[:3]]
+        cross = _permuted_dcov(np.array(x), np.array(y))
+        for _ in range(3):
+            perm = rng.permutation(len(x))
+            dcov2, dvx, dvy = dcov_oracle(x, [y[i] for i in perm])
+            if dvx == 0 or dvy == 0:
+                continue
+            assert abs(cross(perm)[0] - dcov2) <= 1e-12 * math.sqrt(dvx * dvy)
+
+
+@pytest.mark.parametrize("n", [30, 120, 400])
+def test_dcor_test_matches_dense_loop_near_independent(n):
+    rng = np.random.default_rng(n)
+    x = np.round(rng.uniform(0.2, 1.0, n), 2)
+    y = np.round(np.clip(3.4 + 0.05 * x + rng.normal(0, 0.8, n), 1, 5), 1)
+    got = distance_correlation_test(x, y, permutations=200, seed=n)
+    assert got == dcor_test_dense(x, y, permutations=200, seed=n)
+
+
+def test_dcor_test_matches_dense_loop_on_tiny_inputs(monkeypatch):
+    """At n = 3 to 6 many draws reproduce the observed matrix exactly, so
+    the fast ratio lands inside the margin and the dense kernel decides."""
+    rng = np.random.default_rng(10)
+    real_ix = np.ix_
+    dense_draws = []
+
+    def counting_ix(*args):
+        dense_draws.append(1)
+        return real_ix(*args)
+
+    for n in range(3, 7):
+        for seed in range(10):
+            x = rng.integers(0, 3, n).astype(float)
+            y = rng.integers(0, 3, n).astype(float)
+            monkeypatch.setattr(np, "ix_", counting_ix)
+            got = distance_correlation_test(x, y, permutations=30, seed=seed)
+            monkeypatch.setattr(np, "ix_", real_ix)
+            assert got == dcor_test_dense(x, y, permutations=30, seed=seed)
+    assert dense_draws
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(tie_heavy, min_size=3, max_size=8), st.data(), st.integers(0, 2**32 - 1))
+def test_dcor_test_p_value_bit_equal_to_dense_loop(x, data, seed):
+    y = data.draw(st.lists(tie_heavy | finite, min_size=len(x), max_size=len(x)))
+    got = distance_correlation_test(x, y, permutations=25, seed=seed)
+    assert got == dcor_test_dense(x, y, permutations=25, seed=seed)
+
+
+def test_dcor_permutation_draws_add_no_matrix():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=1000)
+    y = x + rng.normal(size=1000)
+    single = peak_bytes(distance_correlation, x, y)
+    # each dense draw would add two 8 MB matrices
+    assert peak_bytes(distance_correlation_test, x, y, permutations=20) <= single + 5 * 2**20
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """Peak Python-tracked allocation, numpy buffers included, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "statistic",
+    [pearson, spearman, kendall_tau, distance_correlation, distance_correlation_test],
+    ids=lambda f: f.__name__,
+)
+def test_statistics_reject_non_finite_input(statistic, bad):
+    with pytest.raises(ValueError, match="finite"):
+        statistic([0.1, bad, 0.4, 0.2], [1.0, 2.0, 3.0, 5.0])
+    with pytest.raises(ValueError, match="finite"):
+        statistic([1.0, 2.0, 3.0, 5.0], [0.1, 0.3, bad, 0.2])
 
 
 # ------------------------------------------------------- shared properties
