@@ -334,7 +334,10 @@ def build_parser() -> _Parser:
     p_arc.add_argument("--lexicon", required=True, help="tab-separated valence lexicon")
     _add_smooth_flag(p_arc)
     p_arc.add_argument(
-        "--window", type=int, default=30, help="summary window in tokens (default 30)"
+        "--window",
+        type=_int_at_least(1),
+        default=30,
+        help="summary window in tokens, at least 1 (default 30)",
     )
     p_arc.add_argument("--out", default="-", help="arc CSV destination (default stdout)")
     p_arc.add_argument("--windows-out", metavar="PATH", help="also write windowed mean/std CSV")
@@ -425,7 +428,9 @@ def build_parser() -> _Parser:
     )
     p_cluster.add_argument("--corpus", required=True, help="directory of *.txt stories")
     p_cluster.add_argument("--lexicon", required=True, help="tab-separated valence lexicon")
-    p_cluster.add_argument("--k", type=int, required=True, help="number of clusters")
+    p_cluster.add_argument(
+        "--k", type=_int_at_least(1), required=True, help="number of clusters, at least 1"
+    )
     _add_smooth_flag(p_cluster)
     p_cluster.add_argument("--out", default="-", help="labels CSV destination (default stdout)")
     p_cluster.add_argument("--tree-out", metavar="PATH", help="also write the merge tree CSV")

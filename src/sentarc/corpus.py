@@ -14,6 +14,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from . import arc as arc_mod
 from .afa import estimate_hurst
@@ -21,6 +22,7 @@ from .errors import (
     CorpusError,
     DegenerateSeriesError,
     RatingsError,
+    SentarcError,
     SeriesTooShortError,
 )
 from .lexicon import Lexicon
@@ -42,7 +44,8 @@ STATUS_OK = "ok"
 STATUS_TOO_SHORT = "too_short"
 STATUS_DEGENERATE = "degenerate"
 
-RATINGS_HEADER = ["id", "title", "avg_rating", "n_ratings"]
+# ratings CSV column -> parser of its text, in header order
+_RATINGS_FIELDS = {"id": str, "title": str, "avg_rating": float, "n_ratings": int}
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,46 @@ def load_corpus(directory) -> list[Story]:
     return stories
 
 
+def read_csv_table(
+    lines, path, fields: dict, error: type[SentarcError]
+) -> Iterator[tuple[int, dict]]:
+    """Each non-blank row of a CSV table as (line, {column: parsed cell}).
+
+    `lines` is a text stream opened with newline="" and `fields` maps each
+    column, in header order, to the parser of its text. The header must
+    match the columns once its cells are stripped. A row with the wrong
+    field count, or a cell its parser rejects with ValueError, raises
+    `error` as "PATH:LINE: ..."; LINE is the physical line the row ends on.
+    """
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or [cell.strip() for cell in header] != list(fields):
+        raise error(
+            f"{path}: expected header {','.join(fields)!r}, "
+            f"got {'<empty file>' if header is None else ','.join(header)!r}"
+        )
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(fields):
+            raise error(f"{path}:{reader.line_num}: expected {len(fields)} fields, got {len(row)}")
+        values = {}
+        for (name, parse), text in zip(fields.items(), row):
+            try:
+                values[name] = parse(text)
+            except ValueError as exc:
+                raise error(f"{path}:{reader.line_num}: {name}: {exc}") from None
+        yield reader.line_num, values
+
+
+def _read_csv_file(path, what: str, fields: dict) -> list[tuple[int, dict]]:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(read_csv_table(fh, path, fields, RatingsError))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RatingsError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_ratings(path) -> list[RatingRecord]:
     """Parse the ratings CSV.
 
@@ -115,38 +158,18 @@ def load_ratings(path) -> list[RatingRecord]:
     id are rejected with a logged line number. A missing or garbled
     header and unparsable numerics raise RatingsError.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise RatingsError(f"cannot read ratings {path}: {exc}") from exc
-    if not rows or [c.strip() for c in rows[0]] != RATINGS_HEADER:
-        raise RatingsError(
-            f"{path}: expected header {','.join(RATINGS_HEADER)!r}, "
-            f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
-        )
-
     records: list[RatingRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise RatingsError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-        story_id, _title, avg_text, count_text = row
-        try:
-            avg = float(avg_text)
-            count = int(count_text)
-        except ValueError as exc:
-            raise RatingsError(f"{path}:{lineno}: unparsable numeric field: {exc}") from exc
+    for line, row in _read_csv_file(path, "ratings", _RATINGS_FIELDS):
+        story_id, avg, count = row["id"], row["avg_rating"], row["n_ratings"]
         if not 1.0 <= avg <= 5.0:
-            log.warning("%s:%d: avg_rating %s outside [1, 5], row rejected", path, lineno, avg_text)
+            log.warning("%s:%d: avg_rating %s outside [1, 5], row rejected", path, line, avg)
             continue
         if count < 0:
-            log.warning("%s:%d: negative n_ratings, row rejected", path, lineno)
+            log.warning("%s:%d: negative n_ratings, row rejected", path, line)
             continue
         if story_id in seen:
-            log.warning("%s:%d: duplicate id %r, row rejected", path, lineno, story_id)
+            log.warning("%s:%d: duplicate id %r, row rejected", path, line, story_id)
             continue
         seen.add(story_id)
         records.append(RatingRecord(id=story_id, avg_rating=avg, n_ratings=count))
@@ -155,21 +178,8 @@ def load_ratings(path) -> list[RatingRecord]:
 
 def load_id_mapping(path) -> dict[str, str]:
     """Optional `file_id,ratings_id` CSV for mismatched join keys."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise RatingsError(f"cannot read mapping {path}: {exc}") from exc
-    if not rows or [c.strip() for c in rows[0]] != ["file_id", "ratings_id"]:
-        raise RatingsError(f"{path}: expected header 'file_id,ratings_id'")
-    mapping = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise RatingsError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        mapping[row[0]] = row[1]
-    return mapping
+    rows = _read_csv_file(path, "mapping", {"file_id": str, "ratings_id": str})
+    return {row["file_id"]: row["ratings_id"] for _, row in rows}
 
 
 def _analyze_story(story: Story, lexicon: Lexicon, order: int) -> StoryRecord:

@@ -7,26 +7,27 @@ boundaries elsewhere.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import math
+import re
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .afa import AfaResult
 from .arc import Merge, SentimentArc, WindowSummary
-from .corpus import StoryRecord
+from .corpus import StoryRecord, read_csv_table
 from .errors import SentarcError
 from .stats import CorrelationReport
 
 
 # values per formatting call in write_series_csv
 _SERIES_CHUNK = 16384
-# rows per write in _write_csv; at 16,384 the arc writer measured slower
-# than writing row by row, at 1,024 it did not
+# rows per write in _write_csv
 _CSV_CHUNK = 1024
+# a str cell holding one of these is quoted
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 
 
 def fmt_float(value: float) -> str:
@@ -45,35 +46,24 @@ def _opt(value) -> str:
     return str(value)
 
 
-def _csv_text(rows: list[list[str]], terminator: str) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator=terminator).writerows(rows)
-    return buf.getvalue()
+def _cell(value) -> str:
+    """One CSV cell: `_opt`'s text, except that a str holding a comma, a
+    quote, CR or LF is quoted with its quotes doubled (RFC 4180)."""
+    if isinstance(value, str) and _NEEDS_QUOTES(value):
+        return '"' + value.replace('"', '""') + '"'
+    return _opt(value)
 
 
 def _write_csv(out: IO[str], header: list[str], rows: Iterable[Iterable]) -> None:
-    """One CSV table: the header, then each row's cells through `_opt`.
+    """One CSV table: the header, then each row's cells through `_cell`.
 
-    Rows end in "\n" and are written a chunk at a time. The csv writer
-    quotes a cell only for the characters of its own line terminator, so
-    with "\n" it leaves a lone "\r" bare and a reader would split the row
-    there. A chunk whose text holds a "\r" (it can only come from a cell)
-    is therefore written again with "\r\n" terminators, which quote it,
-    and those are turned back into "\n" outside quoted cells: splitting
-    at '"' puts the text outside quotes at even indices, and the only
-    even parts inside a quoted cell are the empty ones between the two
-    halves of an escaped '""'.
+    Cells are joined by "," and rows end in "\n"; rows are written a chunk
+    at a time. Each row is joined as it is drawn, because a caller may pass
+    generators that read its own loop variable.
     """
-    rows = iter(rows)
-    chunk = [header]
-    while chunk:
-        text = _csv_text(chunk, "\n")
-        if "\r" in text:
-            parts = _csv_text(chunk, "\r\n").split('"')
-            parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
-            text = '"'.join(parts)
-        out.write(text)
-        chunk = [list(map(_opt, row)) for row in itertools.islice(rows, _CSV_CHUNK)]
+    lines = (",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
+    while chunk := "".join(itertools.islice(lines, _CSV_CHUNK)):
+        out.write(chunk)
 
 
 def write_arc_csv(arc: SentimentArc, out: IO[str]) -> None:
@@ -137,6 +127,12 @@ def _optional(parse):
     return lambda text: parse(text) if text else None
 
 
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
 # results.csv column -> parser of its text, in header order
 _RESULTS_FIELDS = {
     "id": str,
@@ -147,7 +143,7 @@ _RESULTS_FIELDS = {
     "r_squared": _optional(_finite),
     "avg_rating": _optional(_finite),
     "n_ratings": _optional(int),
-    "sweet_spot": lambda text: text == "true",
+    "sweet_spot": _bool,
     "status": str,
 }
 
@@ -166,25 +162,8 @@ def read_results_csv(text: str, path: str) -> list[StoryRecord]:
     count, or an unparsable or non-finite value raises SentarcError naming
     the line and column.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    if next(reader, None) != RESULTS_HEADER:
-        raise SentarcError(f"{path}: not a results.csv (unexpected header)")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(_RESULTS_FIELDS):
-            raise SentarcError(
-                f"{path}:{reader.line_num}: expected {len(_RESULTS_FIELDS)} fields, got {len(row)}"
-            )
-        fields = {}
-        for (name, parse), item in zip(_RESULTS_FIELDS.items(), row):
-            try:
-                fields[name] = parse(item)
-            except ValueError as exc:
-                raise SentarcError(f"{path}:{reader.line_num}: {name}: {exc}") from None
-        records.append(StoryRecord(**fields))
-    return records
+    rows = read_csv_table(io.StringIO(text, newline=""), path, _RESULTS_FIELDS, SentarcError)
+    return [StoryRecord(**values) for _, values in rows]
 
 
 def write_scatter_csv(records: list[StoryRecord], out: IO[str]) -> None:

@@ -89,11 +89,6 @@ def spearman(x, y) -> tuple[float, float]:
     return pearson(midranks(xa), midranks(ya))
 
 
-def _tie_sizes(values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(values, return_counts=True)
-    return counts[counts > 1].astype(float)
-
-
 def _merge_plan(n: int) -> list[tuple[np.ndarray, ...]]:
     """Index arrays for each level of a bottom-up merge over n positions.
 
@@ -158,14 +153,18 @@ def _merge_levels(rank: np.ndarray, plan: list[tuple[np.ndarray, ...]]):
         order[free] = left
 
 
-def _tied_pairs(run_starts: np.ndarray) -> int:
-    """Pairs within runs of equal values, given where each run starts."""
-    runs = np.diff(np.append(np.flatnonzero(run_starts), run_starts.size))
-    return int(np.sum(runs * (runs - 1) // 2))
+def _run_sizes(run_starts: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values, given where each run starts."""
+    return np.diff(np.append(np.flatnonzero(run_starts), run_starts.size))
 
 
-def _kendall_s(xa: np.ndarray, ya: np.ndarray) -> int:
-    """Kendall's S = sum over pairs i < j of sign(Δx)·sign(Δy), exactly.
+def _tied_pairs(sizes: np.ndarray) -> int:
+    return int(np.sum(sizes * (sizes - 1) // 2))
+
+
+def _kendall_s(xa: np.ndarray, ya: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Kendall's S = sum over pairs i < j of sign(Δx)·sign(Δy), exactly,
+    and the sizes of the runs of ties in x and in y, in value order.
 
     Knight's count: in (x, y) order every pair i < j has x_i <= x_j, and
     it is discordant exactly when y_i > y_j, an inversion of y's ranks.
@@ -178,11 +177,15 @@ def _kendall_s(xa: np.ndarray, ya: np.ndarray) -> int:
     xs, ys = xa[order], ya[order]
     x_starts = np.concatenate(([True], xs[1:] != xs[:-1]))
     xy_starts = x_starts | np.concatenate(([False], ys[1:] != ys[:-1]))
+    x_counts = _run_sizes(x_starts)
     _, y_rank, y_counts = np.unique(ya, return_inverse=True, return_counts=True)
     levels = _merge_levels(y_rank[order], _merge_plan(n))
     discordant = sum(int(np.sum(end - below)) for _, _, below, end in levels)
-    n2 = int(np.sum(y_counts * (y_counts - 1) // 2))
-    return n * (n - 1) // 2 - _tied_pairs(x_starts) - n2 + _tied_pairs(xy_starts) - 2 * discordant
+    s = (
+        n * (n - 1) // 2 - _tied_pairs(x_counts) - _tied_pairs(y_counts)
+        + _tied_pairs(_run_sizes(xy_starts)) - 2 * discordant
+    )
+    return s, x_counts[x_counts > 1], y_counts[y_counts > 1]
 
 
 def kendall_tau(x, y) -> tuple[float, float]:
@@ -193,12 +196,11 @@ def kendall_tau(x, y) -> tuple[float, float]:
     """
     xa, ya = _validated_pair(x, y)
     n = xa.size
-    # an integer far below 2**53, so the float is exact
-    s = float(_kendall_s(xa, ya))
+    s, tx, ty = _kendall_s(xa, ya)
+    # integers far below 2**53, so the floats are exact
+    s, tx, ty = float(s), tx.astype(float), ty.astype(float)
 
     n0 = n * (n - 1) / 2.0
-    tx = _tie_sizes(xa)
-    ty = _tie_sizes(ya)
     n1 = float(np.sum(tx * (tx - 1) / 2.0))
     n2 = float(np.sum(ty * (ty - 1) / 2.0))
     denom = math.sqrt((n0 - n1) * (n0 - n2))

@@ -287,6 +287,20 @@ def test_negative_order_is_a_parse_error(tmp_path, lexicon_path, small_corpus, c
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [["arc", "missing.txt", "--lexicon", "missing.tsv", "--window"],
+     ["cluster", "--corpus", "missing", "--lexicon", "missing.tsv", "--k"]],
+    ids=["arc --window", "cluster --k"],
+)
+def test_count_below_one_is_a_parse_error(capsys, argv, value):
+    # rejected while parsing, before any input is read
+    code, out, err = run_cli(argv + [value], capsys)
+    assert (code, out) == (1, "")
+    assert f"{argv[-1]}: must be >= 1, got {value}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -534,6 +548,9 @@ def test_out_in_missing_directory_names_the_output(tmp_path, capsys):
         ("a,A,100,1,0.6,inf,3.5,40,false,ok", ":3: r_squared: non-finite value inf"),
         ("a,A,100,1,0.6,0.9,-inf,40,false,ok", ":3: avg_rating: non-finite value -inf"),
         ("a,A,100,NaN,0.6,0.9,3.5,40,false,ok", ":3: coverage: non-finite value nan"),
+        ("a,A,100,1,0.6,0.9,3.5,40,yes,ok", ":3: sweet_spot: expected true or false, got 'yes'"),
+        ("a,A,100,1,0.6,0.9,3.5,40,1,ok", ":3: sweet_spot: expected true or false, got '1'"),
+        ("a,A,100,1,0.6,0.9,3.5,40,True,ok", ":3: sweet_spot: expected true or false, got 'True'"),
     ],
 )
 def test_correlate_reports_malformed_results_row(tmp_path, capsys, row, message):

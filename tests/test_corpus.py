@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,40 @@ def test_mapping_file(tmp_path):
     path = tmp_path / "map.csv"
     path.write_text("file_id,ratings_id\nstory_001,the_real_name\n")
     assert load_id_mapping(path) == {"story_001": "the_real_name"}
+
+
+# a quoted title over two physical lines puts the next row on line 4
+TWO_LINE_ROW = 'a,"Two\nlines",4.0,10'
+
+
+def test_ratings_warning_names_physical_line(tmp_path, caplog):
+    path = write_ratings(tmp_path / "r.csv", [TWO_LINE_ROW, "b,B,3.0,-1"])
+    with caplog.at_level("WARNING"):
+        records = load_ratings(path)
+    assert records == [RatingRecord(id="a", avg_rating=4.0, n_ratings=10)]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:4: negative n_ratings, row rejected"
+    ]
+
+
+def test_ratings_error_names_physical_line(tmp_path):
+    path = write_ratings(tmp_path / "r.csv", [TWO_LINE_ROW, "b,B,3.0,many"])
+    with pytest.raises(RatingsError, match=rf"^{re.escape(str(path))}:4: n_ratings: "):
+        load_ratings(path)
+
+
+def test_mapping_error_names_physical_line(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text('file_id,ratings_id\na,"x\ny"\nb\n')
+    with pytest.raises(RatingsError, match=r":4: expected 2 fields, got 1$"):
+        load_id_mapping(path)
+
+
+def test_mapping_bad_header_raises(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_text("file,ratings\na,b\n")
+    with pytest.raises(RatingsError, match="expected header 'file_id,ratings_id'"):
+        load_id_mapping(path)
 
 
 # ----------------------------------------------------------- analyze_corpus

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -18,7 +19,7 @@ from sentarc.serialize import (
     write_scatter_csv,
     write_series_csv,
 )
-from sentarc.serialize import _SERIES_CHUNK
+from sentarc.serialize import _CSV_CHUNK, _SERIES_CHUNK, _opt, _write_csv
 
 
 def make_report(**overrides):
@@ -149,6 +150,65 @@ def story_records(draw):
 @given(st.lists(story_records(), max_size=5))
 def test_results_csv_round_trip(records):
     assert read_results_csv(results_csv(records), "results.csv") == records
+
+
+def test_results_csv_header_cells_may_be_padded():
+    text = results_csv([make_record()])
+    header, body = text.split("\n", 1)
+    padded = ",".join(f" {name}\t" for name in header.split(","))
+    assert read_results_csv(padded + "\n" + body, "results.csv") == [make_record()]
+
+
+def reference_csv(header, rows) -> str:
+    """The dialect `_write_csv` keeps: the csv module's, with "\r\n"
+    terminators (which quote a cell holding CR or LF), turned back into
+    "\n" outside quotes. Split at '"', the text outside quotes lies at even
+    indices; the only even parts inside a cell are the empty ones between
+    the halves of a doubled quote."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(
+        [header] + [[_opt(cell) for cell in row] for row in rows]
+    )
+    parts = buf.getvalue().split('"')
+    parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
+    return '"'.join(parts)
+
+
+def written_csv(header, rows) -> str:
+    buf = io.StringIO()
+    # generators over the loop variable, as write_results_csv passes them
+    _write_csv(buf, header, ((cell for cell in row) for row in rows))
+    return buf.getvalue()
+
+
+_cell_text = st.text(alphabet=st.sampled_from(',"\r\n\x00\x85\u2028 a'), max_size=6)
+_cells = st.none() | st.booleans() | st.integers() | st.floats() | _cell_text
+
+
+@st.composite
+def tables(draw):
+    # every table the package writes has at least two columns; the csv
+    # module writes a lone empty cell as '""'
+    width = draw(st.integers(2, 5))
+    header = draw(st.lists(_cell_text, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(_cells, min_size=width, max_size=width), max_size=6))
+    return header, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(tables())
+def test_write_csv_matches_reference_dialect(table):
+    header, rows = table
+    assert written_csv(header, rows) == reference_csv(header, rows)
+
+
+@pytest.mark.parametrize("length", [_CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK + 5])
+def test_write_csv_chunk_boundaries(length):
+    rows = [(i, i / 7, f"t{i}" + ",\r\n"[i % 3]) for i in range(length)]
+    text = written_csv(["a", "b", "c"], rows)
+    assert text == reference_csv(["a", "b", "c"], rows)
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
+    assert [row[2] for row in parsed[1:]] == [row[2] for row in rows]
 
 
 def test_scatter_skips_incomplete_records():

@@ -267,7 +267,11 @@ tie_heavy = st.integers(min_value=0, max_value=4).map(float)
 @given(st.lists(tie_heavy | finite, min_size=3, max_size=300), st.data())
 def test_kendall_merge_count_equals_pair_count(x, data):
     y = data.draw(st.lists(tie_heavy, min_size=len(x), max_size=len(x)))
-    assert _kendall_s(np.array(x), np.array(y)) == kendall_s_oracle(x, y)
+    s, x_ties, y_ties = _kendall_s(np.array(x), np.array(y))
+    assert s == kendall_s_oracle(x, y)
+    for values, ties in ((x, x_ties), (y, y_ties)):
+        counts = np.unique(values, return_counts=True)[1]
+        assert ties.tolist() == counts[counts > 1].tolist()
 
 
 def test_kendall_memory_stays_linear():
