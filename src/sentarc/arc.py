@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -64,13 +65,15 @@ def sentiment_series(tokens: list[str], lexicon: Lexicon, story_id: str = "") ->
     """Map tokens to their valence values.
 
     Out-of-vocabulary tokens score NEUTRAL_VALENCE. Coverage is 0 for an
-    empty token list.
+    empty token list. A miss is looked up as NaN: `load_lexicon` rejects
+    NaN and every value outside [0, 1], so no entry is NaN and the NaNs
+    count the misses exactly.
     """
     n = len(tokens)
-    found = list(map(lexicon.entries.get, tokens))
-    misses = found.count(None)
-    raw = np.array([NEUTRAL_VALENCE if v is None else v for v in found], dtype=float)
-    coverage = (n - misses) / n if n else 0.0
+    raw = np.fromiter(map(lexicon.entries.get, tokens, repeat(np.nan)), float, n)
+    misses = np.isnan(raw)
+    raw[misses] = NEUTRAL_VALENCE
+    coverage = (n - int(np.count_nonzero(misses))) / n if n else 0.0
     return SentimentArc(
         story_id=story_id, raw=raw, smooth=raw.copy(), coverage=coverage, n_tokens=n
     )

@@ -111,6 +111,15 @@ def load_corpus(directory) -> list[Story]:
     return stories
 
 
+def _csv_rows(reader, path, error: type[SentarcError]):
+    """The rows of a csv.reader, with its csv.Error (a field over the size
+    limit, say) raised as `error` at the reader's line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_csv_table(
     lines, path, fields: dict, error: type[SentarcError]
 ) -> Iterator[tuple[int, dict]]:
@@ -119,17 +128,19 @@ def read_csv_table(
     `lines` is a text stream opened with newline="" and `fields` maps each
     column, in header order, to the parser of its text. The header must
     match the columns once its cells are stripped. A row with the wrong
-    field count, or a cell its parser rejects with ValueError, raises
-    `error` as "PATH:LINE: ..."; LINE is the physical line the row ends on.
+    field count, a cell its parser rejects with ValueError, or text the csv
+    module cannot split raises `error` as "PATH:LINE: ..."; LINE is the
+    physical line the row ends on.
     """
     reader = csv.reader(lines)
-    header = next(reader, None)
+    rows = _csv_rows(reader, path, error)
+    header = next(rows, None)
     if header is None or [cell.strip() for cell in header] != list(fields):
         raise error(
             f"{path}: expected header {','.join(fields)!r}, "
             f"got {'<empty file>' if header is None else ','.join(header)!r}"
         )
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) != len(fields):

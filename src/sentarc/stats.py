@@ -226,49 +226,107 @@ def kendall_tau(x, y) -> tuple[float, float]:
     return tau, p
 
 
-def _centered_distances(values: np.ndarray) -> np.ndarray:
-    # in place, with the three means taken first and applied in the order
-    # of d - mean0 - mean1 + grand: the same bits with one n x n buffer
-    d = np.subtract.outer(values, values)
+# Cells per row block of a distance matrix (4 MB of float64): the
+# distance-correlation kernel holds a few such blocks, never an n x n array.
+_DCOR_BLOCK_CELLS = 1 << 19
+
+
+def _row_blocks(n: int) -> list[slice]:
+    rows = max(1, _DCOR_BLOCK_CELLS // n)
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
+def _distance_block(values: np.ndarray, rows: slice, centering=None) -> np.ndarray:
+    """Rows `rows` of |v_i - v_j|, doubly centered in place by
+    centering = (column means, row means, grand mean) when given, in the
+    order d - column - row + grand."""
+    d = np.subtract.outer(values[rows], values)
     np.abs(d, out=d)
-    col = d.mean(axis=0, keepdims=True)
-    row = d.mean(axis=1, keepdims=True)
-    grand = d.mean()
-    d -= col
-    d -= row
-    d += grand
+    if centering is not None:
+        col, row, grand = centering
+        d -= col
+        d -= row[rows, None]
+        d += grand
     return d
 
 
+def _distance_centering(values: np.ndarray, blocks: list[slice]):
+    """Column, row and grand means of |v_i - v_j|, one row block at a time.
+
+    Row means are taken per row; column sums and the total add up across
+    blocks, so with one block every mean has the bits of the whole-matrix
+    `mean(axis=0)`, `mean(axis=1)` and `mean()`.
+    """
+    n = values.size
+    col = np.zeros(n)
+    row = np.empty(n)
+    total = 0.0
+    for rows in blocks:
+        d = _distance_block(values, rows)
+        col += d.sum(axis=0)
+        row[rows] = d.mean(axis=1)
+        total += float(d.sum())
+    return col / n, row, total / n**2
+
+
+def _centered_products(xa, x_center, ya, y_center, blocks) -> tuple[float, float, float]:
+    """mean(a·b), mean(a·a) and mean(b·b) for the doubly-centered distance
+    matrices a of `xa` and b of `ya`, each a sum of row-block sums / n²."""
+    ab = aa = bb = 0.0
+    for rows in blocks:
+        a = _distance_block(xa, rows, x_center)
+        b = _distance_block(ya, rows, y_center)
+        ab += float(np.sum(a * b))
+        aa += float(np.sum(a * a))
+        bb += float(np.sum(b * b))
+    n2 = xa.size ** 2
+    return ab / n2, aa / n2, bb / n2
+
+
 def _dcor_kernel(x, y):
-    """Centered distance matrix `b` of y, the scale sqrt(dVar(x)·dVar(y)),
-    and a function giving the clamped ratio mean(a·b')/scale, whose square
-    root is the distance correlation of x with `b'` (`b` itself or `b`
-    permuted on rows and columns alike); scale and function are None when
-    either input has zero distance variance (a constant sequence)."""
+    """The scale sqrt(dVar(x)·dVar(y)), and a function of a permutation p
+    (or None for the identity) giving the clamped ratio mean(a·b_p)/scale,
+    whose square root is the distance correlation of x with y[p]; a and
+    b_p are the doubly-centered distance matrices of x and y[p], b_p being
+    b permuted on rows and columns alike. Both are None when either input
+    has zero distance variance (a constant sequence).
+
+    Every mean of a product is a sum over row blocks of at most
+    _DCOR_BLOCK_CELLS cells, divided by n²: O(n) memory beyond the blocks
+    (Székely, Rizzo & Bakirov 2007, Ann. Statist. 35:2769, define the
+    statistic as that double sum). When n² fits in one block, the
+    operations and so the bits are those of the whole n x n matrices.
+    """
     xa, ya = _validated_pair(x, y)
-    a = _centered_distances(xa)
-    b = _centered_distances(ya)
-    dvar_x = float(np.mean(a * a))
-    dvar_y = float(np.mean(b * b))
+    blocks = _row_blocks(xa.size)
+    x_center = _distance_centering(xa, blocks)
+    y_center = _distance_centering(ya, blocks)
+
+    cross, dvar_x, dvar_y = _centered_products(xa, x_center, ya, y_center, blocks)
     if dvar_x == 0.0 or dvar_y == 0.0:
-        return b, None, None
+        return None, None
     scale = math.sqrt(dvar_x * dvar_y)
 
-    def ratio(b_mat: np.ndarray) -> float:
-        return min(max(float(np.mean(a * b_mat)) / scale, 0.0), 1.0)
+    def ratio(perm: np.ndarray | None = None) -> float:
+        num = cross
+        if perm is not None:
+            col, row, grand = y_center
+            permuted = (col[perm], row[perm], grand)
+            num = _centered_products(xa, x_center, ya[perm], permuted, blocks)[0]
+        return min(max(num / scale, 0.0), 1.0)
 
-    return b, scale, ratio
+    return scale, ratio
 
 
 def distance_correlation(x, y) -> float:
-    """Sample distance correlation from doubly-centered distance matrices.
+    """Sample distance correlation from doubly-centered distance matrices,
+    accumulated over row blocks by the kernel of `_dcor_kernel`.
 
     Lies in [0, 1]; returns 0 when either input has zero distance
     variance (a constant sequence).
     """
-    b, _, ratio = _dcor_kernel(x, y)
-    return 0.0 if ratio is None else math.sqrt(ratio(b))
+    _, ratio = _dcor_kernel(x, y)
+    return 0.0 if ratio is None else math.sqrt(ratio())
 
 
 def _distance_sums(values: np.ndarray) -> np.ndarray:
@@ -341,30 +399,32 @@ def distance_correlation_test(
     Permutes y `permutations` times under a fixed seed and reports
     (1 + #{dcor_perm >= dcor}) / (1 + permutations).
 
-    The observed value comes from the dense kernel, as in
+    The observed value comes from the row-blocked kernel of
     distance_correlation. Each draw's cross term comes from
     `_permuted_dcov` in O(n) memory and settles the draw, unless its
     clamped ratio lies within _DCOR_MARGIN·size/scale of the observed
-    ratio or is not a number; such a draw is recomputed by the dense
-    kernel. Why the margin is safe: the two kernels compute the same sum
-    and differ by rounding alone. That difference measured below
-    3e-15·size on tied, heavy-tailed, offset and outlier data up to n =
-    4,097, a factor above 10⁵ inside the margin; n·eps·size, what the
-    dense kernel's n² terms could lose if every rounding error added up,
-    is 2.2e-13·size at n = 1,000. So outside the band the dense ratio
-    lies on the same side of the observed ratio as the fast one,
-    clamping to [0, 1] cannot close that gap, and ratios that far apart
-    keep distinct square roots: every count is the one the dense kernel
-    alone gives.
+    ratio or is not a number; such a draw is recomputed by the blocked
+    kernel on the permuted pairing, which also needs no n x n array. Why
+    the margin is safe: the two kernels compute the same sum and differ
+    by rounding alone. That difference measured below 1e-15·size on
+    tied, heavy-tailed, offset and outlier data up to n = 4,097, a
+    factor above 10⁵ inside the margin. The blocked kernel adds its n²
+    terms pairwise within blocks of at most _DCOR_BLOCK_CELLS and then
+    the block sums in turn, fewer than n of them; n·eps·size, what it
+    could lose if every rounding error added up, is 2.2e-13·size at
+    n = 1,000. So outside the band the blocked ratio lies on the same
+    side of the observed ratio as the fast one, clamping to [0, 1]
+    cannot close that gap, and ratios that far apart keep distinct
+    square roots: every count is the one the blocked kernel alone gives.
     """
     xa, ya = _validated_pair(x, y)
-    b, scale, ratio = _dcor_kernel(xa, ya)
+    scale, ratio = _dcor_kernel(xa, ya)
     if ratio is None:
         return 0.0, 1.0
     # Double centering commutes with a simultaneous row/column permutation,
     # and the distance variances are permutation-invariant, so only the
     # cross term changes per draw.
-    observed_ratio = ratio(b)
+    observed_ratio = ratio()
     observed = math.sqrt(observed_ratio)
     cross = _permuted_dcov(xa, ya)
     rng = np.random.default_rng(seed)
@@ -375,6 +435,6 @@ def distance_correlation_test(
         fast = min(max(num / scale, 0.0), 1.0)
         if abs(fast - observed_ratio) > _DCOR_MARGIN * size / scale:
             hits += int(fast > observed_ratio)
-        elif math.sqrt(ratio(b[np.ix_(perm, perm)])) >= observed:
+        elif math.sqrt(ratio(perm)) >= observed:
             hits += 1
     return observed, (1.0 + hits) / (1.0 + permutations)

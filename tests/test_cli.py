@@ -564,6 +564,39 @@ def test_correlate_reports_malformed_results_row(tmp_path, capsys, row, message)
     assert f"{results}{message}" in err
 
 
+def test_correlate_reports_oversized_field(tmp_path, capsys):
+    # past the csv module's field size limit (131,072 characters)
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "id,title,n_tokens,coverage,hurst,r_squared,avg_rating,n_ratings,sweet_spot,status\n"
+        "b,B,100,1,0.6,0.9,3.5,40,true,ok\n"
+        f"a,{'A' * 200_000},100,1,0.6,0.9,3.5,40,false,ok\n"
+    )
+    code, _, err = run_cli(["correlate", "--results", str(results)], capsys)
+    assert code == 1
+    assert f"{results}:3: field larger than field limit" in err
+    assert "internal error" not in err
+
+
+def test_analyze_reports_oversized_ratings_field(tmp_path, lexicon_path, small_corpus, capsys):
+    corpus, ratings = small_corpus
+    with open(ratings, "a") as fh:
+        fh.write(f"eps,{'E' * 200_000},3.0,10\n")
+    code, _, err = run_cli(
+        [
+            "analyze",
+            "--corpus", str(corpus),
+            "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings),
+            "--out", str(tmp_path / "out"),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert f"{ratings}:6: field larger than field limit" in err
+    assert "internal error" not in err
+
+
 @pytest.mark.parametrize("count", ["-1", "-3"])
 @pytest.mark.parametrize("subcommand", ["analyze", "correlate"])
 def test_negative_dcor_permutations_is_a_parse_error(

@@ -15,6 +15,7 @@ from sentarc import (
     pearson,
     spearman,
 )
+from sentarc import stats as stats_mod
 from sentarc.stats import _kendall_s, _permuted_dcov
 
 # hundredths on a bounded grid: ties arise naturally, no underflow traps
@@ -361,24 +362,27 @@ def test_dcor_test_matches_dense_loop_near_independent(n):
 
 def test_dcor_test_matches_dense_loop_on_tiny_inputs(monkeypatch):
     """At n = 3 to 6 many draws reproduce the observed matrix exactly, so
-    the fast ratio lands inside the margin and the dense kernel decides."""
+    the fast ratio lands inside the margin and the blocked kernel decides
+    on the permuted pairing."""
     rng = np.random.default_rng(10)
-    real_ix = np.ix_
-    dense_draws = []
+    real_products = stats_mod._centered_products
+    kernel_calls = []
 
-    def counting_ix(*args):
-        dense_draws.append(1)
-        return real_ix(*args)
+    def counting_products(*args):
+        kernel_calls.append(1)
+        return real_products(*args)
 
+    monkeypatch.setattr(stats_mod, "_centered_products", counting_products)
+    tests = 0
     for n in range(3, 7):
         for seed in range(10):
             x = rng.integers(0, 3, n).astype(float)
             y = rng.integers(0, 3, n).astype(float)
-            monkeypatch.setattr(np, "ix_", counting_ix)
             got = distance_correlation_test(x, y, permutations=30, seed=seed)
-            monkeypatch.setattr(np, "ix_", real_ix)
+            tests += 1
             assert got == dcor_test_dense(x, y, permutations=30, seed=seed)
-    assert dense_draws
+    # one call per test is the observed statistic; the rest are draws
+    assert len(kernel_calls) > tests
 
 
 @settings(max_examples=60, deadline=None)
@@ -396,6 +400,28 @@ def test_dcor_permutation_draws_add_no_matrix():
     single = peak_bytes(distance_correlation, x, y)
     # each dense draw would add two 8 MB matrices
     assert peak_bytes(distance_correlation_test, x, y, permutations=20) <= single + 5 * 2**20
+
+
+def test_dcor_memory_stays_linear():
+    """No n x n array: at n = 4,097 three dense matrices took 384 MB."""
+    rng = np.random.default_rng(12)
+    x = np.round(rng.uniform(0.2, 1.0, 4097), 3)
+    y = np.round(rng.uniform(1.0, 5.0, 4097), 2)
+    assert peak_bytes(distance_correlation, x, y) < 64 * 2**20
+
+
+@pytest.mark.parametrize("cells", [1, 8])
+def test_dcor_row_blocks_match_oracles(monkeypatch, cells):
+    """Several row blocks at small n. A draw equal to the observed value in
+    exact arithmetic is left to rounding, which blocks change, so the
+    inputs are continuous; tie-heavy n = 3 to 8 is covered in one block."""
+    monkeypatch.setattr(stats_mod, "_DCOR_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(13)
+    for x, y in random_pairs(30, rng):
+        assert len(stats_mod._row_blocks(len(x))) > 1
+        assert abs(distance_correlation(x, y) - dcor_oracle(x, y)) <= 1e-15
+        got = distance_correlation_test(x, y, permutations=40, seed=len(x))
+        assert got[1] == dcor_test_dense(x, y, permutations=40, seed=len(x))[1]
 
 
 def peak_bytes(fn, *args, **kwargs):
