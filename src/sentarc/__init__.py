@@ -41,7 +41,7 @@ from .errors import (
     SentarcError,
     SeriesTooShortError,
 )
-from .lexicon import Lexicon, load_lexicon, save_lexicon
+from .lexicon import Lexicon, load_lexicon
 from .stats import (
     CorrelationReport,
     distance_correlation,
@@ -91,7 +91,6 @@ __all__ = [
     "midranks",
     "pearson",
     "profile",
-    "save_lexicon",
     "sentiment_series",
     "smooth",
     "spearman",

@@ -44,6 +44,11 @@ _UNSCALED_PEAK = (2.0**-400, 2.0**400)
 # process meets about 730 distinct (w, order) keys.
 _FIT_OPERATOR_CACHE_SIZE = 1024
 
+# Cells of one row chunk of the trend products. Below this size OpenBLAS
+# runs a product on one thread, so the fits have the same bits at any
+# thread count and no second thread's buffers are allocated.
+_TREND_CHUNK_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class AfaResult:
@@ -146,10 +151,13 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
     starts = segment_starts(n_samples, w)
     last_center = starts[-1] + n
 
-    # least-squares polynomial fit of every segment at once
-    segments = np.lib.stride_tricks.sliding_window_view(u, w)[starts]
+    # least-squares polynomial fit of every segment, a chunk of rows at a time
+    windows = np.lib.stride_tricks.sliding_window_view(u, w)
     solve_t, design_t = _fit_operators(w, order)
-    fits = (segments @ solve_t) @ design_t
+    fits = np.empty((starts.size, w))
+    rows = max(1, _TREND_CHUNK_CELLS // w)
+    for k in range(0, starts.size, rows):
+        np.matmul(windows[starts[k : k + rows]] @ solve_t, design_t, out=fits[k : k + rows])
 
     v = np.empty(n_samples)
     v[: n + 1] = fits[0, : n + 1]

@@ -111,6 +111,16 @@ def load_corpus(directory) -> list[Story]:
     return stories
 
 
+def _nul_free(lines, path, error: type[SentarcError]):
+    """The lines unchanged, except that a line holding NUL raises `error`
+    at its line number: Python 3.10's csv module cannot read NUL and 3.11's
+    can, so NUL is no CSV character on any version."""
+    for number, line in enumerate(lines, start=1):
+        if "\0" in line:
+            raise error(f"{path}:{number}: NUL character")
+        yield line
+
+
 def _csv_rows(reader, path, error: type[SentarcError]):
     """The rows of a csv.reader, with its csv.Error (a field over the size
     limit, say) raised as `error` at the reader's line."""
@@ -130,9 +140,10 @@ def read_csv_table(
     match the columns once its cells are stripped. A row with the wrong
     field count, a cell its parser rejects with ValueError, or text the csv
     module cannot split raises `error` as "PATH:LINE: ..."; LINE is the
-    physical line the row ends on.
+    physical line the row ends on. A line holding NUL is rejected before
+    the csv module sees it.
     """
-    reader = csv.reader(lines)
+    reader = csv.reader(_nul_free(lines, path, error))
     rows = _csv_rows(reader, path, error)
     header = next(rows, None)
     if header is None or [cell.strip() for cell in header] != list(fields):

@@ -23,7 +23,8 @@ NEUTRAL_VALENCE = 0.5
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Immutable word -> valence map; unknown words score NEUTRAL_VALENCE.
+    """Immutable word -> valence map; `arc.sentiment_series` scores a word
+    absent from it NEUTRAL_VALENCE.
 
     Keys are lowercased at load time; callers are expected to pass
     already-lowercased tokens (the tokenizer does).
@@ -36,13 +37,6 @@ class Lexicon:
     @property
     def entry_count(self) -> int:
         return len(self.entries)
-
-    def valence(self, token: str) -> float:
-        """Stored valence for `token`, or NEUTRAL_VALENCE if absent. Never fails."""
-        return self.entries.get(token, NEUTRAL_VALENCE)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.entries
 
 
 def _parse_float(text: str) -> float | None:
@@ -94,10 +88,3 @@ def load_lexicon(path) -> Lexicon:
 
     return Lexicon(entries=entries, n_duplicates=n_duplicates, n_rejected=n_rejected)
 
-
-def save_lexicon(lexicon: Lexicon, path) -> None:
-    """Write entries back out in the loadable tab-separated format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("word\tvalence\n")
-        for word, value in lexicon.entries.items():
-            fh.write(f"{word}\t{value!r}\n")

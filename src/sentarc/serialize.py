@@ -27,7 +27,7 @@ _SERIES_CHUNK = 16384
 # rows per write in _write_csv
 _CSV_CHUNK = 1024
 # a str cell holding one of these is quoted
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+_NEEDS_QUOTES = re.compile(r'[,"\r\n\0]').search
 
 
 def fmt_float(value: float) -> str:
@@ -48,8 +48,11 @@ def _opt(value) -> str:
 
 def _cell(value) -> str:
     """One CSV cell: `_opt`'s text, except that a str holding a comma, a
-    quote, CR or LF is quoted with its quotes doubled (RFC 4180)."""
+    quote, CR or LF is quoted with its quotes doubled (RFC 4180). A str
+    holding NUL raises ValueError: `read_csv_table` rejects NUL."""
     if isinstance(value, str) and _NEEDS_QUOTES(value):
+        if "\0" in value:
+            raise ValueError(f"NUL character in CSV cell {value!r}")
         return '"' + value.replace('"', '""') + '"'
     return _opt(value)
 

@@ -59,15 +59,22 @@ def fgn(spec: SynthSpec) -> np.ndarray:
     happen for H in (0, 1) beyond rounding error.
     """
     n = spec.n
+    # one 2N complex buffer serves both transforms: the circulant row
+    # [g0..gN, g(N-1)..g1] in, its eigenvalues out, then the scaled draws
+    buf = np.zeros(2 * n, dtype=complex)
     gamma = fgn_autocovariance(spec.target_h, np.arange(n + 1))
-    row = np.concatenate([gamma, gamma[-2:0:-1]])  # [g0..gN, g(N-1)..g1]
-    eigenvalues = np.fft.fft(row).real
+    buf.real[: n + 1] = gamma
+    buf.real[n + 1 :] = gamma[-2:0:-1]
+    del gamma
+    np.fft.fft(buf, out=buf)
+    # the row is symmetric, so eigenvalues 0..N are all the draws use
+    eigenvalues = buf.real[: n + 1].copy()
     if eigenvalues.min() < EIGENVALUE_TOLERANCE:
         raise SentarcError(
             f"circulant embedding failed: eigenvalue {eigenvalues.min():.3e} < 0 "
             f"for H={spec.target_h}, N={n}"
         )
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    np.clip(eigenvalues, 0.0, None, out=eigenvalues)
 
     rng = np.random.default_rng(spec.seed)
     first = rng.standard_normal()
@@ -75,12 +82,13 @@ def fgn(spec: SynthSpec) -> np.ndarray:
     real = rng.standard_normal(n - 1)
     imag = rng.standard_normal(n - 1)
 
-    w = np.empty(2 * n, dtype=complex)
-    w[0] = np.sqrt(eigenvalues[0] / (2 * n)) * first
-    w[1:n] = np.sqrt(eigenvalues[1:n] / (4 * n)) * (real + 1j * imag)
-    w[n] = np.sqrt(eigenvalues[n] / (2 * n)) * middle
-    w[n + 1 :] = np.conj(w[n - 1 : 0 : -1])
-    return np.fft.fft(w).real[:n]
+    buf[0] = np.sqrt(eigenvalues[0] / (2 * n)) * first
+    buf[1:n] = np.sqrt(eigenvalues[1:n] / (4 * n)) * (real + 1j * imag)
+    buf[n] = np.sqrt(eigenvalues[n] / (2 * n)) * middle
+    del real, imag, eigenvalues
+    np.conjugate(buf[n - 1 : 0 : -1], out=buf[n + 1 :])
+    np.fft.fft(buf, out=buf)
+    return buf.real[:n].copy()
 
 
 def white_noise(n: int, seed: int) -> np.ndarray:

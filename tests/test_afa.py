@@ -18,7 +18,7 @@ from sentarc import (
     profile,
     white_noise,
 )
-from sentarc.afa import _fit_operators, blend_weights, segment_starts
+from sentarc.afa import _TREND_CHUNK_CELLS, _fit_operators, blend_weights, segment_starts
 
 
 def trend_oracle(u, w, order):
@@ -51,18 +51,24 @@ def trend_oracle(u, w, order):
 def take_along_axis_trend(u, w, order):
     """global_trend before its fit operators were cached: the S x w index
     gather, a fresh pinv per call, and the (segment, offset) cross-fade grid
-    read through take_along_axis. Every later kernel must match its bits."""
+    read through take_along_axis. The products run over the kernel's row
+    chunks, whose bits no longer depend on the BLAS thread count. Every
+    later kernel must match its bits."""
     u = np.asarray(u, dtype=float)
     n_samples = u.size
     n = (w - 1) // 2
     starts = segment_starts(n_samples, w)
     centers = starts + n
 
-    segments = u[starts[:, None] + np.arange(w)[None, :]]
     t = np.arange(w, dtype=float) - (w - 1) / 2
     design = np.vander(t, order + 1, increasing=True)
-    coefs = segments @ np.linalg.pinv(design).T
-    fits = coefs @ design.T
+    rows = max(1, _TREND_CHUNK_CELLS // w)
+    chunks = []
+    for k in range(0, starts.size, rows):
+        segments = u[starts[k : k + rows, None] + np.arange(w)[None, :]]
+        coefs = segments @ np.linalg.pinv(design).T
+        chunks.append(coefs @ design.T)
+    fits = np.concatenate(chunks)
 
     v = np.empty(n_samples)
     v[: n + 1] = fits[0, : n + 1]

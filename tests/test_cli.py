@@ -103,6 +103,30 @@ def test_hurst_points_output(tmp_path, capsys):
     assert len(lines) >= 6
 
 
+def test_hurst_series_same_bytes_on_one_and_two_blas_threads(tmp_path, capsys):
+    # a 2^20 series makes the trend products large enough that OpenBLAS
+    # would thread them; the thread count is read when numpy loads, so
+    # each run is a fresh process
+    series_path = tmp_path / "series.csv"
+    code, _, _ = run_cli(
+        ["synth", "--h", "0.7", "--n", "1048576", "--seed", "3", "--out", str(series_path)],
+        capsys,
+    )
+    assert code == 0
+    for order in ("1", "2"):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sentarc", "hurst", "--series", str(series_path),
+                 "--order", order, "--points-out", "-"],
+                capture_output=True,
+                env={**package_env(), "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], f"order {order}"
+
+
 def test_hurst_series_with_header_line(tmp_path, capsys):
     series_path = tmp_path / "series.csv"
     rng = np.random.default_rng(4)

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentarc import (
     CorpusError,
@@ -268,6 +270,55 @@ def test_parallel_matches_serial(tmp_path, graded_lex):
     serial = analyze_corpus(corpus, graded_lex, jobs=1)
     parallel = analyze_corpus(corpus, graded_lex, jobs=2)
     assert serial == parallel
+
+
+@st.composite
+def corpora(draw):
+    """(id, text, rating) per story and an order to write the files in.
+    Lengths reach below the estimator's 60 tokens and some texts are
+    constant, so too-short and degenerate records come up too."""
+    ids = draw(st.lists(st.from_regex(r"[a-z0-9_]{1,6}", fullmatch=True),
+                        min_size=1, max_size=6, unique=True))
+    words = list(GRADED_WORDS)
+    stories = []
+    for story_id in ids:
+        n_tokens = draw(st.integers(0, 400))
+        levels = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 101, n_tokens)
+        if draw(st.booleans()):
+            levels[:] = levels[:1]
+        rating = draw(st.none() | st.tuples(st.floats(1.0, 5.0), st.integers(0, 10**6)))
+        stories.append((story_id, " ".join(words[i] for i in levels), rating))
+    return stories, draw(st.permutations(range(len(stories))))
+
+
+def _analyze_outcome(corpus, ratings, jobs):
+    lexicon = Lexicon(entries=dict(GRADED_WORDS))
+    try:
+        return analyze_corpus(corpus, lexicon, ratings=ratings, jobs=jobs)
+    except CorpusError as exc:
+        return str(exc)
+
+
+@settings(max_examples=8, deadline=None)
+@given(corpora())
+def test_records_independent_of_jobs_and_file_order(tmp_path_factory, drawn):
+    stories, write_order = drawn
+    ratings = [
+        RatingRecord(id=story_id, avg_rating=rating[0], n_ratings=rating[1])
+        for story_id, _, rating in stories
+        if rating is not None
+    ]
+    in_order, shuffled = tmp_path_factory.mktemp("in_order"), tmp_path_factory.mktemp("shuffled")
+    for story_id, text, _ in stories:
+        write_story(in_order, story_id, text)
+    for i in write_order:
+        write_story(shuffled, stories[i][0], stories[i][1])
+    serial = _analyze_outcome(load_corpus(in_order), ratings, jobs=1)
+    if not isinstance(serial, str):
+        assert [r.id for r in serial] == sorted(story_id for story_id, _, _ in stories)
+    assert _analyze_outcome(load_corpus(in_order), ratings, jobs=2) == serial
+    assert _analyze_outcome(load_corpus(shuffled), ratings, jobs=1) == serial
+    assert _analyze_outcome(load_corpus(shuffled), ratings, jobs=2) == serial
 
 
 # ---------------------------------------------------------------- correlate

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentarc import Lexicon, LexiconError, load_lexicon, save_lexicon
+from sentarc import Lexicon, LexiconError, load_lexicon, sentiment_series
+from sentarc.lexicon import NEUTRAL_VALENCE
 
 from conftest import write_lexicon_file
+
+
+def write_entries(path, entries):
+    """`entries` in the loadable format, each value as its repr."""
+    return write_lexicon_file(path, [f"{word}\t{value!r}" for word, value in entries.items()])
 
 
 def test_load_round_trip(tmp_path):
@@ -15,15 +21,13 @@ def test_load_round_trip(tmp_path):
     )
     lex = load_lexicon(path)
     assert lex.entry_count == 2
-    assert lex.valence("achieve") == 0.816
-    assert lex.valence("abandon") == 0.052
+    assert lex.entries == {"achieve": 0.816, "abandon": 0.052}
 
 
 def test_header_detected_and_skipped(tmp_path):
     path = write_lexicon_file(tmp_path / "lex.tsv", ["joy\t0.98\t0.82\t0.55"])
     lex = load_lexicon(path)
-    assert lex.entry_count == 1
-    assert lex.valence("joy") == 0.98
+    assert lex.entries == {"joy": 0.98}
 
 
 def test_header_only_file_is_empty_lexicon(tmp_path):
@@ -35,8 +39,7 @@ def test_header_only_file_is_empty_lexicon(tmp_path):
 def test_out_of_range_valence_rejected(tmp_path):
     path = write_lexicon_file(tmp_path / "lex.tsv", ["joy\t1.5", "calm\t0.7"])
     lex = load_lexicon(path)
-    assert "joy" not in lex
-    assert lex.valence("calm") == 0.7
+    assert lex.entries == {"calm": 0.7}
     assert lex.n_rejected == 1
 
 
@@ -58,27 +61,26 @@ def test_nan_valence_rejected(tmp_path):
 def test_duplicate_keeps_last(tmp_path):
     path = write_lexicon_file(tmp_path / "lex.tsv", ["echo\t0.2", "echo\t0.9"])
     lex = load_lexicon(path)
-    assert lex.valence("echo") == 0.9
+    assert lex.entries == {"echo": 0.9}
     assert lex.n_duplicates == 1
-    assert lex.entry_count == 1
 
 
 def test_keys_lowercased(tmp_path):
     path = write_lexicon_file(tmp_path / "lex.tsv", ["Sunshine\t0.9"])
     lex = load_lexicon(path)
-    assert lex.valence("sunshine") == 0.9
+    assert lex.entries == {"sunshine": 0.9}
 
 
 def test_exactly_neutral_entries_kept(tmp_path):
     path = write_lexicon_file(tmp_path / "lex.tsv", ["meh\t0.5"])
     lex = load_lexicon(path)
-    assert "meh" in lex
+    assert lex.entries == {"meh": 0.5}
 
 
 def test_oov_returns_neutral():
     lex = Lexicon(entries={"bright": 0.9})
-    assert lex.valence("qzxv") == 0.5
-    assert lex.valence("") == 0.5
+    arc = sentiment_series(["qzxv", "", "bright"], lex)
+    assert arc.raw.tolist() == [NEUTRAL_VALENCE, NEUTRAL_VALENCE, 0.9]
 
 
 def test_missing_file_raises():
@@ -88,19 +90,16 @@ def test_missing_file_raises():
 
 def test_serialize_round_trip(tmp_path):
     entries = {"alpha": 0.123456789012345, "beta": 1.0, "gamma": 0.0}
-    lex = Lexicon(entries=entries)
-    out = tmp_path / "saved.tsv"
-    save_lexicon(lex, out)
-    reloaded = load_lexicon(out)
+    reloaded = load_lexicon(write_entries(tmp_path / "saved.tsv", entries))
     assert reloaded.entries == entries
 
 
-@given(st.text(max_size=30))
-def test_valence_always_in_unit_interval(token):
+@given(st.lists(st.text(max_size=30), max_size=5))
+def test_valence_always_in_unit_interval(tokens):
     lex = Lexicon(entries={"good": 0.9, "bad": 0.1})
-    value = lex.valence(token)
-    assert 0.0 <= value <= 1.0
-    assert value == lex.valence(token)  # pure lookup
+    raw = sentiment_series(tokens, lex).raw
+    assert ((0.0 <= raw) & (raw <= 1.0)).all()
+    assert raw.tolist() == [lex.entries.get(t, NEUTRAL_VALENCE) for t in tokens]
 
 
 @given(
@@ -111,8 +110,7 @@ def test_valence_always_in_unit_interval(token):
     )
 )
 def test_save_load_identity_on_entries(tmp_path_factory, entries):
-    path = tmp_path_factory.mktemp("lex") / "lex.tsv"
-    save_lexicon(Lexicon(entries=entries), path)
+    path = write_entries(tmp_path_factory.mktemp("lex") / "lex.tsv", entries)
     assert load_lexicon(path).entries == entries
 
 

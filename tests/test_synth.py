@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,51 @@ from sentarc import SynthSpec, fgn, fgn_autocovariance, white_noise
 def raw_lag1_autocorr(x):
     # the generator targets mean zero, so second moments use the known mean
     return float(np.mean(x[:-1] * x[1:]) / np.mean(x * x))
+
+
+def two_array_fgn(spec):
+    """fgn before its transforms shared one buffer: the circulant row and
+    the scaled draws each in an array of their own. fgn must match its bits."""
+    n = spec.n
+    gamma = fgn_autocovariance(spec.target_h, np.arange(n + 1))
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    eigenvalues = np.clip(np.fft.fft(row).real, 0.0, None)
+
+    rng = np.random.default_rng(spec.seed)
+    first = rng.standard_normal()
+    middle = rng.standard_normal()
+    real = rng.standard_normal(n - 1)
+    imag = rng.standard_normal(n - 1)
+
+    w = np.empty(2 * n, dtype=complex)
+    w[0] = np.sqrt(eigenvalues[0] / (2 * n)) * first
+    w[1:n] = np.sqrt(eigenvalues[1:n] / (4 * n)) * (real + 1j * imag)
+    w[n] = np.sqrt(eigenvalues[n] / (2 * n)) * middle
+    w[n + 1 :] = np.conj(w[n - 1 : 0 : -1])
+    return np.fft.fft(w).real[:n]
+
+
+@pytest.mark.parametrize("n", [64, 1024, 2**16])
+@pytest.mark.parametrize("target_h,seed", [(0.05, 0), (0.3, 7), (0.5, 1), (0.7, 3), (0.95, 2)])
+def test_fgn_bit_identical_to_two_array_form(target_h, n, seed):
+    spec = SynthSpec(target_h=target_h, n=n, seed=seed)
+    a, b = fgn(spec), two_array_fgn(spec)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_fgn_peak_memory_under_six_buffers():
+    # one buffer of N complex values is 16 N bytes; the two-array form
+    # peaks at 7.5 of them
+    n = 2**16
+    spec = SynthSpec(target_h=0.7, n=n, seed=1)
+    tracemalloc.start()
+    try:
+        fgn(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * n
 
 
 def test_spec_validation():
