@@ -27,6 +27,7 @@ from .corpus import (
     Story,
     StoryRecord,
     analyze_corpus,
+    build_arcs,
     correlate,
     load_corpus,
     load_id_mapping,
@@ -73,6 +74,7 @@ __all__ = [
     "WindowSummary",
     "analyze_corpus",
     "arc_from_text",
+    "build_arcs",
     "cluster_arcs",
     "correlate",
     "default_window_sizes",

@@ -156,6 +156,20 @@ def _cluster_shape(arc: SentimentArc, n_points: int = RESAMPLE_POINTS) -> np.nda
     return (resampled - resampled.mean()) / sd
 
 
+def _squared_distances(shapes: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of `shapes`, m x m.
+
+    Built one row at a time, so memory grows with m², not with m² times
+    the shape length; each row has the bits of the same einsum reduction
+    over the whole m x m x length difference tensor.
+    """
+    d2 = np.empty((len(shapes), len(shapes)))
+    for i, shape in enumerate(shapes):
+        d = shape - shapes
+        d2[i] = np.einsum("jk,jk->j", d, d)
+    return d2
+
+
 def cluster_arcs(arcs: list[SentimentArc], k: int) -> tuple[dict[str, int], list[Merge]]:
     """Ward-linkage agglomerative clustering of arc shapes.
 
@@ -179,9 +193,7 @@ def cluster_arcs(arcs: list[SentimentArc], k: int) -> tuple[dict[str, int], list
     if len(set(ids)) != m:
         raise ValueError("duplicate story ids in clustering input")
 
-    shapes = np.array([_cluster_shape(a) for a in arcs])
-    diff = shapes[:, None, :] - shapes[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = _squared_distances(np.array([_cluster_shape(a) for a in arcs]))
     np.fill_diagonal(d2, np.inf)
 
     # A merge keeps the lower slot, so slot i's smallest member is ids[i]

@@ -151,6 +151,16 @@ def _add_order_flag(parser) -> None:
     )
 
 
+def _add_jobs_flag(parser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=_int_at_least(1),
+        default=os.cpu_count() or 1,
+        help="worker processes over the stories, at least 1 (default: logical "
+        "cores); outputs are the same at any value",
+    )
+
+
 def _add_smooth_flag(parser) -> None:
     parser.add_argument(
         "--smooth-fraction",
@@ -282,10 +292,11 @@ def _cmd_cluster(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     stories = corpus_mod.load_corpus(args.corpus)
     arcs = []
-    for story in stories:
-        series = arc_mod.arc_from_text(story.text, lexicon, story.id, args.smooth_fraction)
+    for series in corpus_mod.build_arcs(stories, lexicon, args.smooth_fraction, args.jobs):
         if series.n_tokens < 2:
-            log.warning("%s: %d tokens, too short to cluster, skipped", story.id, series.n_tokens)
+            log.warning(
+                "%s: %d tokens, too short to cluster, skipped", series.story_id, series.n_tokens
+            )
             continue
         arcs.append(series)
     try:
@@ -389,12 +400,7 @@ def build_parser() -> _Parser:
     p_analyze.add_argument("--mapping", metavar="PATH", help="CSV file_id,ratings_id join aliases")
     p_analyze.add_argument("--out", required=True, help="output directory")
     _add_correlation_flags(p_analyze, "0 and 30")
-    p_analyze.add_argument(
-        "--jobs",
-        type=_int_at_least(1),
-        default=os.cpu_count() or 1,
-        help="parallel story analyses, at least 1 (default: logical cores)",
-    )
+    _add_jobs_flag(p_analyze)
     _add_order_flag(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
@@ -432,6 +438,7 @@ def build_parser() -> _Parser:
         "--k", type=_int_at_least(1), required=True, help="number of clusters, at least 1"
     )
     _add_smooth_flag(p_cluster)
+    _add_jobs_flag(p_cluster)
     p_cluster.add_argument("--out", default="-", help="labels CSV destination (default stdout)")
     p_cluster.add_argument("--tree-out", metavar="PATH", help="also write the merge tree CSV")
     p_cluster.set_defaults(func=_cmd_cluster)

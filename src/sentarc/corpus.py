@@ -5,6 +5,7 @@ with header `id,title,avg_rating,n_ratings` keyed by file stem (an
 optional mapping CSV `file_id,ratings_id` covers mismatched ids). Each
 story runs tokenize -> valence series -> Hurst estimate; stories the
 estimator rejects keep a reason-coded record rather than disappearing.
+`build_arcs` maps the text -> arc step alone over the same worker pool.
 """
 
 from __future__ import annotations
@@ -224,16 +225,52 @@ def _analyze_story(story: Story, lexicon: Lexicon, order: int) -> StoryRecord:
     )
 
 
-_WORKER_ARGS: tuple | None = None
+_WORKER_TASK: tuple | None = None
 
 
-def _init_worker(lexicon, order):
-    global _WORKER_ARGS
-    _WORKER_ARGS = (lexicon, order)
+def _init_worker(fn, args):
+    global _WORKER_TASK
+    _WORKER_TASK = (fn, args)
 
 
 def _run_worker(story: Story):
-    return _analyze_story(story, *_WORKER_ARGS)
+    fn, args = _WORKER_TASK
+    return fn(story, *args)
+
+
+def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
+    """`fn(story, *args)` for every story, in corpus order, over `jobs`
+    worker processes when `jobs` > 1 and there is more than one story.
+
+    Workers receive `fn` and `args` once, at start-up, and stories in
+    chunks of four.
+    """
+    if jobs > 1 and len(corpus) > 1:
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_init_worker,
+            initargs=(fn, args),
+        ) as pool:
+            return list(pool.map(_run_worker, corpus, chunksize=4))
+    return [fn(story, *args) for story in corpus]
+
+
+def _story_arc(story: Story, lexicon: Lexicon, smooth_fraction: float | None):
+    return arc_mod.arc_from_text(story.text, lexicon, story.id, smooth_fraction)
+
+
+def build_arcs(
+    corpus: list[Story],
+    lexicon: Lexicon,
+    smooth_fraction: float | None = None,
+    jobs: int = 1,
+) -> list[arc_mod.SentimentArc]:
+    """Every story's arc, as by `arc.arc_from_text`, in corpus order.
+
+    The arcs are built over `jobs` worker processes when `jobs` > 1; they
+    are the same at any `jobs`.
+    """
+    return _map_stories(_story_arc, corpus, jobs, lexicon, smooth_fraction)
 
 
 def analyze_corpus(
@@ -257,15 +294,7 @@ def analyze_corpus(
     mapping = mapping or {}
     by_id = {r.id: r for r in ratings}
 
-    if jobs > 1 and len(corpus) > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(lexicon, order),
-        ) as pool:
-            records = list(pool.map(_run_worker, corpus, chunksize=4))
-    else:
-        records = [_analyze_story(s, lexicon, order) for s in corpus]
+    records = _map_stories(_analyze_story, corpus, jobs, lexicon, order)
 
     for i, record in enumerate(records):
         rating = by_id.get(mapping.get(record.id, record.id))

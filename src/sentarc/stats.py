@@ -385,10 +385,14 @@ def _permuted_dcov(xa: np.ndarray, ya: np.ndarray):
     return cross
 
 
-# Half-width of the band, in units of `size`, around the observed cross
-# term in which a permutation draw is left to the dense kernel; see
+# Half-width of the band, in units of `size`, around the hit threshold in
+# which a permutation draw is left to the dense kernel; see
 # distance_correlation_test.
 _DCOR_MARGIN = 1e-9
+
+# Relative tolerance below the observed statistic within which a draw still
+# counts as a hit: the rule of scipy.stats.permutation_test.
+_DCOR_TIE_RTOL = 100 * float(np.finfo(float).eps)
 
 
 def distance_correlation_test(
@@ -397,25 +401,32 @@ def distance_correlation_test(
     """Distance correlation with a permutation p-value.
 
     Permutes y `permutations` times under a fixed seed and reports
-    (1 + #{dcor_perm >= dcor}) / (1 + permutations).
+    (1 + #{dcor_perm >= dcor - γ}) / (1 + permutations), with
+    γ = 100·eps·dcor: a draw equal to the observed statistic in exact
+    arithmetic counts as a hit whatever the rounding, as in
+    scipy.stats.permutation_test.
 
     The observed value comes from the row-blocked kernel of
     distance_correlation. Each draw's cross term comes from
     `_permuted_dcov` in O(n) memory and settles the draw, unless its
-    clamped ratio lies within _DCOR_MARGIN·size/scale of the observed
-    ratio or is not a number; such a draw is recomputed by the blocked
-    kernel on the permuted pairing, which also needs no n x n array. Why
-    the margin is safe: the two kernels compute the same sum and differ
-    by rounding alone. That difference measured below 1e-15·size on
-    tied, heavy-tailed, offset and outlier data up to n = 4,097, a
-    factor above 10⁵ inside the margin. The blocked kernel adds its n²
-    terms pairwise within blocks of at most _DCOR_BLOCK_CELLS and then
-    the block sums in turn, fewer than n of them; n·eps·size, what it
-    could lose if every rounding error added up, is 2.2e-13·size at
-    n = 1,000. So outside the band the blocked ratio lies on the same
-    side of the observed ratio as the fast one, clamping to [0, 1]
-    cannot close that gap, and ratios that far apart keep distinct
-    square roots: every count is the one the blocked kernel alone gives.
+    clamped ratio lies within _DCOR_MARGIN·size/scale of the threshold
+    ratio (dcor - γ)² or is not a number; such a draw is recomputed by the
+    blocked kernel on the permuted pairing, which also needs no n x n
+    array. Why the margin is safe: the two kernels compute the same sum
+    and differ by rounding alone. That difference measured below
+    1e-15·size on tied, heavy-tailed, offset and outlier data up to
+    n = 4,097, a factor above 10⁵ inside the margin. The blocked kernel
+    adds its n² terms pairwise within blocks of at most _DCOR_BLOCK_CELLS
+    and then the block sums in turn, fewer than n of them; n·eps·size,
+    what it could lose if every rounding error added up, is 2.2e-13·size
+    at n = 1,000. So outside the band the blocked ratio lies on the same
+    side of the threshold ratio as the fast one, and clamping to [0, 1]
+    cannot close that gap. Near the threshold size/scale is at least the
+    ratio itself, so the band is at least 1e-9 times the threshold ratio,
+    while squaring the threshold or taking a square root moves a value by
+    under eps relative: the blocked draw's square root lies on the same
+    side of dcor - γ, and every count is the one the blocked kernel alone
+    gives.
     """
     xa, ya = _validated_pair(x, y)
     scale, ratio = _dcor_kernel(xa, ya)
@@ -424,8 +435,9 @@ def distance_correlation_test(
     # Double centering commutes with a simultaneous row/column permutation,
     # and the distance variances are permutation-invariant, so only the
     # cross term changes per draw.
-    observed_ratio = ratio()
-    observed = math.sqrt(observed_ratio)
+    observed = math.sqrt(ratio())
+    threshold = observed - _DCOR_TIE_RTOL * observed
+    threshold_ratio = threshold * threshold
     cross = _permuted_dcov(xa, ya)
     rng = np.random.default_rng(seed)
     hits = 0
@@ -433,8 +445,8 @@ def distance_correlation_test(
         perm = rng.permutation(xa.size)
         num, size = cross(perm)
         fast = min(max(num / scale, 0.0), 1.0)
-        if abs(fast - observed_ratio) > _DCOR_MARGIN * size / scale:
-            hits += int(fast > observed_ratio)
-        elif math.sqrt(ratio(perm)) >= observed:
+        if abs(fast - threshold_ratio) > _DCOR_MARGIN * size / scale:
+            hits += int(fast > threshold_ratio)
+        elif math.sqrt(ratio(perm)) >= threshold:
             hits += 1
     return observed, (1.0 + hits) / (1.0 + permutations)

@@ -368,6 +368,22 @@ def test_estimate_shift_scale_equivariant():
     assert abs(base.r_squared - moved.r_squared) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    st.integers(1, 2**31),
+    st.floats(-300.0, 300.0),
+    st.floats(-1e3, 1e3),
+)
+def test_estimate_invariant_under_affine_maps_of_any_scale(h, seed, log10_a, b):
+    """H(a·x + a·b) = H(x) for every a in [1e-300, 1e300], so the scaled
+    series crosses the power-of-two rescale above 2^400 and below 2^-400."""
+    x = fgn(SynthSpec(h, 1024, seed))
+    a = 10.0**log10_a
+    got = estimate_hurst(a * x + a * b)
+    assert abs(got.hurst - estimate_hurst(x).hurst) <= 1e-12
+
+
 _FGN_07 = fgn(SynthSpec(0.7, 4096, 1))
 
 

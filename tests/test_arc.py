@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sentarc import (
     tokenize,
     window_summary,
 )
+from sentarc.arc import RESAMPLE_POINTS, _squared_distances
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -243,6 +246,19 @@ def ward_oracle(shapes, ids, k):
     return labels
 
 
+def dense_squared_distances(shapes):
+    """The m x m x length difference tensor and its einsum reduction: the
+    reference _squared_distances must equal bit for bit, so that the 2e-12
+    tie rule decides every merge as it did."""
+    diff = shapes[:, None, :] - shapes[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def linear_arc(story_id, start, stop, jitter=0.0, n=120, seed=0):
     rng = np.random.default_rng(seed)
     values = np.linspace(start, stop, n) + jitter * rng.uniform(-1, 1, n)
@@ -385,6 +401,8 @@ def test_cluster_matches_oracle_on_tie_heavy_arcs(arcs):
         labels, merges = cluster_arcs(arcs, k)
         assert labels == ward_oracle(shapes, ids, k)
         assert len(merges) == len(arcs) - k
+    stacked = np.array(shapes)
+    assert_same_bits(_squared_distances(stacked), dense_squared_distances(stacked))
 
 
 def test_cluster_order_independent():
@@ -398,3 +416,27 @@ def test_cluster_order_independent():
     labels_rev, merges_rev = cluster_arcs(arcs[::-1], 2)
     assert labels_fwd == labels_rev
     assert merges_fwd == merges_rev
+
+
+@pytest.mark.parametrize("m", [1, 2, 57, 400])
+def test_squared_distances_bit_identical_to_dense(m):
+    rng = np.random.default_rng(m)
+    shapes = rng.normal(size=(m, RESAMPLE_POINTS))
+    shapes[rng.random(m) < 0.2] = 0.0
+    shapes[rng.random(m) < 0.2] = shapes[0]
+    for case in (shapes, np.zeros_like(shapes)):
+        assert_same_bits(_squared_distances(case), dense_squared_distances(case))
+
+
+def test_cluster_memory_grows_with_m_squared():
+    """At m = 400 the m x m x 100 difference tensor alone took 100 · 8m² bytes."""
+    rng = np.random.default_rng(21)
+    m = 400
+    arcs = [arc_from_values(rng.uniform(size=150), f"s{i:03d}") for i in range(m)]
+    tracemalloc.start()
+    try:
+        cluster_arcs(arcs, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * m * m

@@ -449,16 +449,28 @@ def test_analyze_missing_corpus_exit_1(tmp_path, lexicon_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_analyze_rejects_nonpositive_jobs(tmp_path, lexicon_path, small_corpus, capsys, jobs):
+@pytest.mark.parametrize(
+    "subcommand,jobs",
+    [
+        ("analyze", "0"),
+        ("analyze", "-2"),
+        ("cluster", "0"),
+        ("cluster", "-2"),
+    ],
+    ids=["0", "-2", "cluster-0", "cluster-minus2"],
+)
+def test_analyze_rejects_nonpositive_jobs(
+    tmp_path, lexicon_path, small_corpus, capsys, jobs, subcommand
+):
     corpus, ratings = small_corpus
     out_dir = tmp_path / "out"
+    extra = ["--ratings", str(ratings)] if subcommand == "analyze" else ["--k", "2"]
     code, _, err = run_cli(
         [
-            "analyze",
+            subcommand,
             "--corpus", str(corpus),
             "--lexicon", str(lexicon_path),
-            "--ratings", str(ratings),
+            *extra,
             "--out", str(out_dir),
             "--jobs", jobs,
         ],
@@ -748,6 +760,37 @@ def test_cluster_labels_and_tree(tmp_path, lexicon_path, small_corpus, capsys):
     assert len(tree_lines) == 4  # 5 arcs merged down to 2 clusters
 
 
+def test_cluster_same_bytes_and_warnings_at_any_jobs(
+    tmp_path, lexicon_path, small_corpus, capsys, caplog
+):
+    corpus, _ = small_corpus
+    write_story(corpus, "aa_one", "gaa")
+    write_story(corpus, "zz_one", "gab")
+    outputs = []
+    for jobs in ("1", "2"):
+        caplog.clear()
+        labels, tree = tmp_path / f"labels{jobs}.csv", tmp_path / f"tree{jobs}.csv"
+        code, _, _ = run_cli(
+            [
+                "cluster",
+                "--corpus", str(corpus),
+                "--lexicon", str(lexicon_path),
+                "--k", "2",
+                "--out", str(labels),
+                "--tree-out", str(tree),
+                "--jobs", jobs,
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "aa_one: 1 tokens, too short to cluster, skipped",
+            "zz_one: 1 tokens, too short to cluster, skipped",
+        ]
+        outputs.append((labels.read_bytes(), tree.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_cluster_k_too_large_exit_1(tmp_path, lexicon_path, small_corpus, capsys):
     corpus, _ = small_corpus
     code, _, err = run_cli(
@@ -799,7 +842,7 @@ def test_unknown_subcommand_rejected(capsys):
         ("hurst", ["--series", "--order", "hurst", "intercept", "r_squared", "n_points", "log2_w", "log2_F"]),
         ("analyze", ["--corpus", "--ratings", "--mapping", "--min-ratings", "--jobs", "sweet_spot", "status", "pearson_r", "distance_corr", "n_ratings"]),
         ("correlate", ["--results", "--min-ratings", "--dcor-permutations", "kendall_tau", "spearman_rho"]),
-        ("cluster", ["--k", "--tree-out", "cluster", "height", "size"]),
+        ("cluster", ["--k", "--tree-out", "--jobs", "cluster", "height", "size"]),
         ("synth", ["--h", "--n", "--seed", "column"]),
     ],
 )

@@ -11,6 +11,8 @@ from sentarc import (
     RatingsError,
     StoryRecord,
     analyze_corpus,
+    arc_from_text,
+    build_arcs,
     correlate,
     load_corpus,
     load_id_mapping,
@@ -270,6 +272,21 @@ def test_parallel_matches_serial(tmp_path, graded_lex):
     serial = analyze_corpus(corpus, graded_lex, jobs=1)
     parallel = analyze_corpus(corpus, graded_lex, jobs=2)
     assert serial == parallel
+
+
+def test_build_arcs_same_at_any_jobs(tmp_path, graded_lex):
+    for i in range(5):
+        write_story(tmp_path, f"s{i}", fgn_token_text(0.5 + 0.1 * i, 512, seed=i))
+    write_story(tmp_path, "empty", "")
+    corpus = load_corpus(tmp_path)
+    want = [arc_from_text(s.text, graded_lex, s.id, 0.05) for s in corpus]
+    for jobs in (1, 2):
+        got = build_arcs(corpus, graded_lex, 0.05, jobs=jobs)
+        assert [a.story_id for a in got] == [s.id for s in corpus]
+        for a, b in zip(got, want):
+            assert (a.story_id, a.n_tokens, a.coverage) == (b.story_id, b.n_tokens, b.coverage)
+            assert a.raw.tobytes() == b.raw.tobytes()
+            assert a.smooth.tobytes() == b.smooth.tobytes()
 
 
 @st.composite

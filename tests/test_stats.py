@@ -125,11 +125,12 @@ def dcor_test_dense(x, y, permutations, seed):
         return math.sqrt(min(max(float(np.mean(a * b_mat)) / scale, 0.0), 1.0))
 
     observed = dcor(b)
+    gamma = 100 * np.finfo(float).eps * observed
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(permutations):
         perm = rng.permutation(x.size)
-        if dcor(b[np.ix_(perm, perm)]) >= observed:
+        if dcor(b[np.ix_(perm, perm)]) >= observed - gamma:
             hits += 1
     return observed, (1.0 + hits) / (1.0 + permutations)
 
@@ -358,6 +359,15 @@ def test_dcor_test_matches_dense_loop_near_independent(n):
     y = np.round(np.clip(3.4 + 0.05 * x + rng.normal(0, 0.8, n), 1, 5), 1)
     got = distance_correlation_test(x, y, permutations=200, seed=n)
     assert got == dcor_test_dense(x, y, permutations=200, seed=n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dcor_test_counts_exact_ties(seed):
+    """Every draw ties the observed statistic in exact arithmetic, and the
+    lowest lies 1.1e-16 below it in floating point: all 30 are hits."""
+    x = [0, 0, 0, 1, 0, 0]
+    y = [2, 1, 1, 1, 0, 2]
+    assert distance_correlation_test(x, y, permutations=30, seed=seed)[1] == 1.0
 
 
 def test_dcor_test_matches_dense_loop_on_tiny_inputs(monkeypatch):
