@@ -213,13 +213,16 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
     Any finite magnitude is accepted: a series whose peak |x| lies outside
     [2^-400, 2^400] is first rescaled exactly by a power of two.
 
-    Raises ValueError for a negative order, for input that is not 1-D and
-    on NaN or infinite input, SeriesTooShortError below 60 samples, and
-    DegenerateSeriesError when fewer than MIN_WINDOWS_FOR_FIT windows
-    produce a nonzero residual (constant input, for example).
+    Raises ValueError for an order outside [0, 3] (an order-4 fit passes
+    through all five samples of the smallest window), for input that is
+    not 1-D and on NaN or infinite input, SeriesTooShortError below 60
+    samples, and DegenerateSeriesError when fewer than MIN_WINDOWS_FOR_FIT
+    windows produce a nonzero residual (constant input, for example).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if order > MIN_WINDOW - 2:
+        raise ValueError(f"order must be <= {MIN_WINDOW - 2}, got {order}")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"series must be 1-D, got shape {x.shape}")

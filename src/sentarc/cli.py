@@ -29,7 +29,7 @@ from . import __version__
 from . import arc as arc_mod
 from . import corpus as corpus_mod
 from . import serialize
-from .afa import estimate_hurst
+from .afa import MIN_WINDOW, estimate_hurst
 from .errors import SentarcError
 from .lexicon import load_lexicon
 from .synth import SynthSpec, fgn
@@ -128,25 +128,33 @@ def _open_out(path: str | os.PathLike | None):
         raise
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
+def _checked(cast, valid, rule: str):
+    """An argparse type: cast(text), rejected unless valid(value); `rule`
+    says what the value must be."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
 
     return parse
 
 
+def _int_at_least(minimum: int):
+    return _checked(int, lambda value: value >= minimum, f">= {minimum}")
+
+
 def _add_order_flag(parser) -> None:
     parser.add_argument(
         "--order",
-        type=_int_at_least(0),
+        type=_checked(int, lambda order: 0 <= order <= MIN_WINDOW - 2, f"in [0, {MIN_WINDOW - 2}]"),
         default=1,
-        help="polynomial order of the local fits, at least 0 (default 1); "
+        help=f"polynomial order of the local fits, 0 to {MIN_WINDOW - 2} (default 1): "
+        f"a higher order fits the {MIN_WINDOW}-sample window exactly; "
         "windows are always log-spaced over [5, N/4]",
     )
 
@@ -164,10 +172,11 @@ def _add_jobs_flag(parser) -> None:
 def _add_smooth_flag(parser) -> None:
     parser.add_argument(
         "--smooth-fraction",
-        type=float,
+        type=_checked(float, lambda fraction: 0.0 < fraction <= 1.0, "in (0, 1]"),
         default=0.05,
         metavar="F",
-        help="moving-average window as a fraction of story length (default 0.05)",
+        help="moving-average window as a fraction of story length, in (0, 1] "
+        "(default 0.05)",
     )
 
 

@@ -181,8 +181,7 @@ def load_ratings(path) -> list[RatingRecord]:
     id are rejected with a logged line number. A missing or garbled
     header and unparsable numerics raise RatingsError.
     """
-    records: list[RatingRecord] = []
-    seen: set[str] = set()
+    records: dict[str, RatingRecord] = {}
     for line, row in _read_csv_file(path, "ratings", _RATINGS_FIELDS):
         story_id, avg, count = row["id"], row["avg_rating"], row["n_ratings"]
         if not 1.0 <= avg <= 5.0:
@@ -191,18 +190,23 @@ def load_ratings(path) -> list[RatingRecord]:
         if count < 0:
             log.warning("%s:%d: negative n_ratings, row rejected", path, line)
             continue
-        if story_id in seen:
+        if story_id in records:
             log.warning("%s:%d: duplicate id %r, row rejected", path, line, story_id)
             continue
-        seen.add(story_id)
-        records.append(RatingRecord(id=story_id, avg_rating=avg, n_ratings=count))
-    return records
+        records[story_id] = RatingRecord(id=story_id, avg_rating=avg, n_ratings=count)
+    return list(records.values())
 
 
 def load_id_mapping(path) -> dict[str, str]:
-    """Optional `file_id,ratings_id` CSV for mismatched join keys."""
-    rows = _read_csv_file(path, "mapping", {"file_id": str, "ratings_id": str})
-    return {row["file_id"]: row["ratings_id"] for _, row in rows}
+    """Optional `file_id,ratings_id` CSV for mismatched join keys. As in the
+    ratings, a repeated file_id is rejected with a logged line number."""
+    mapping: dict[str, str] = {}
+    for line, row in _read_csv_file(path, "mapping", {"file_id": str, "ratings_id": str}):
+        if row["file_id"] in mapping:
+            log.warning("%s:%d: duplicate id %r, row rejected", path, line, row["file_id"])
+        else:
+            mapping[row["file_id"]] = row["ratings_id"]
+    return mapping
 
 
 def _analyze_story(story: Story, lexicon: Lexicon, order: int) -> StoryRecord:

@@ -298,6 +298,20 @@ def test_negative_order_rejected():
         estimate_hurst(white_noise(500, 1), order=-1)
 
 
+@pytest.mark.parametrize("order", [4, 5, 9])
+def test_order_above_three_rejected(order):
+    """An order-4 fit passes through every sample of the 5-sample window,
+    so F(5) is rounding noise: ten fGn series with H = 0.7 read 2.68 on
+    average."""
+    with pytest.raises(ValueError, match=f"order must be <= 3, got {order}"):
+        estimate_hurst(fgn(SynthSpec(0.7, 4096, 1)), order=order)
+
+
+def test_order_three_recovers_target():
+    estimates = [estimate_hurst(fgn(SynthSpec(0.7, 4096, s)), order=3).hurst for s in range(1, 11)]
+    assert abs(np.mean(estimates) - 0.7) < 0.07
+
+
 # ------------------------------------------------------------ estimate_hurst
 
 

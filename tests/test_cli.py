@@ -169,7 +169,7 @@ def test_hurst_series_accepts_extreme_magnitude(tmp_path, capsys):
     assert payload["hurst"] == pytest.approx(unit, abs=1e-12)
 
 
-@pytest.mark.parametrize("order", ["0", "1", "2"])
+@pytest.mark.parametrize("order", ["0", "1", "2", "3"])
 def test_story_hurst_same_bytes_on_every_route(
     tmp_path, lexicon_path, small_corpus, capsys, order
 ):
@@ -309,6 +309,45 @@ def test_negative_order_is_a_parse_error(tmp_path, lexicon_path, small_corpus, c
     assert out == ""
     assert "--order" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["hurst", "analyze"])
+def test_order_above_three_is_a_parse_error(tmp_path, capsys, subcommand):
+    # an order-4 fit passes through all 5 samples of the smallest window;
+    # rejected while parsing, before any input is read
+    argv = {
+        "hurst": ["hurst", "--series", "missing.csv"],
+        "analyze": ["analyze", "--corpus", "missing", "--lexicon", "missing.tsv",
+                    "--ratings", "missing.csv", "--out", str(tmp_path / "out")],
+    }[subcommand]
+    code, out, err = run_cli(argv + ["--order", "4"], capsys)
+    assert (code, out) == (1, "")
+    assert "--order: must be in [0, 3], got 4" in err
+    assert not (tmp_path / "out").exists()
+    assert main([subcommand, "--help"]) == 0
+    assert "0 to 3" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("value", ["0", "5", "nan"])
+@pytest.mark.parametrize("story_text", ["gaa gba gca gda gea", "123 456 ..."], ids=["words", "empty"])
+def test_smooth_fraction_out_of_range_is_a_parse_error(
+    tmp_path, lexicon_path, capsys, value, story_text
+):
+    story = write_story(tmp_path, "tale", story_text)
+    code, out, err = run_cli(
+        ["arc", str(story), "--lexicon", str(lexicon_path), "--smooth-fraction", value], capsys
+    )
+    assert (code, out) == (1, "")
+    assert f"--smooth-fraction: must be in (0, 1], got {value}" in err
+
+
+def test_cluster_smooth_fraction_checked_before_the_corpus(capsys):
+    argv = ["cluster", "--corpus", "missing", "--lexicon", "missing.tsv", "--k", "2",
+            "--smooth-fraction", "1.5"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert "--smooth-fraction: must be in (0, 1], got 1.5" in err
+    assert "missing" not in err
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

@@ -128,6 +128,15 @@ def test_mapping_file(tmp_path):
     assert load_id_mapping(path) == {"story_001": "the_real_name"}
 
 
+def test_mapping_duplicate_file_id_keeps_first(tmp_path, caplog):
+    # the ratings rule: the first row wins, a later one is rejected by line
+    path = tmp_path / "map.csv"
+    path.write_text("file_id,ratings_id\na,r1\nb,r3\na,r2\n")
+    with caplog.at_level("WARNING"):
+        assert load_id_mapping(path) == {"a": "r1", "b": "r3"}
+    assert [r.getMessage() for r in caplog.records] == [f"{path}:4: duplicate id 'a', row rejected"]
+
+
 # a quoted title over two physical lines puts the next row on line 4
 TWO_LINE_ROW = 'a,"Two\nlines",4.0,10'
 

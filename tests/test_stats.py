@@ -16,7 +16,7 @@ from sentarc import (
     spearman,
 )
 from sentarc import stats as stats_mod
-from sentarc.stats import _kendall_s, _permuted_dcov
+from sentarc.stats import _kendall_s, _merge_levels, _merge_plan, _permuted_dcov
 
 # hundredths on a bounded grid: ties arise naturally, no underflow traps
 finite = st.integers(min_value=-10**6, max_value=10**6).map(lambda v: v / 100)
@@ -233,6 +233,14 @@ def test_midranks_average_on_ties():
     assert midranks([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
 
 
+def test_midranks_edge_cases():
+    assert midranks([]).tolist() == []
+    assert midranks([5.0]).tolist() == [1.0]
+    # -0.0 ties 0.0; each NaN ranks alone, after every number
+    got = midranks([math.nan, 0.0, math.nan, -0.0, -1.0])
+    assert got.tolist() == [4.0, 2.5, 5.0, 2.5, 1.0]
+
+
 # ------------------------------------------------------------- kendall tau
 
 
@@ -274,6 +282,46 @@ def test_kendall_merge_count_equals_pair_count(x, data):
     for values, ties in ((x, x_ties), (y, y_ties)):
         counts = np.unique(values, return_counts=True)[1]
         assert ties.tolist() == counts[counts > 1].tolist()
+
+
+def merge_levels_scatter(rank, plan):
+    """The merge `_merge_levels` replaced, kept as its reference: each
+    level places the right elements at their merged positions and fills
+    the free slots with the left elements in order. A right element's
+    merged position is k·w plus its offset in the right half plus
+    `below`, and k·w + offset = right position - end."""
+    order = np.arange(rank.size)
+    free = np.empty(rank.size, dtype=bool)
+    for key_offset, left_pos, right_pos, end in plan:
+        keys = key_offset + rank[order]
+        left = order[left_pos]
+        right = order[right_pos]
+        below = np.searchsorted(keys[left_pos], keys[right_pos], side="right")
+        yield left, right, below, end
+        dest = right_pos - end + below
+        order = np.empty_like(order)
+        order[dest] = right
+        free.fill(True)
+        free[dest] = False
+        order[free] = left
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=400)
+))
+def test_merge_levels_match_scatter_merge(values):
+    """Same left, right, below and end at every level: the fast cross
+    term's prefix sums add in this order, so its bits depend on it."""
+    rank = np.unique(values, return_inverse=True)[1]
+    plan = _merge_plan(rank.size)
+    got = list(_merge_levels(rank, plan))
+    want = list(merge_levels_scatter(rank, plan))
+    assert len(got) == len(want) == len(plan)
+    for level, expected in zip(got, want):
+        for array, reference in zip(level, expected):
+            assert array.dtype == reference.dtype
+            assert array.tolist() == reference.tolist()
 
 
 def test_kendall_memory_stays_linear():
@@ -343,7 +391,8 @@ def test_fast_cross_term_matches_oracle():
         if len(x) >= 6:
             x[4] = x[5]
             y[:3] = [round(v) for v in y[:3]]
-        cross = _permuted_dcov(np.array(x), np.array(y))
+        xa, ya = np.array(x), np.array(y)
+        cross = _permuted_dcov(xa, ya, *stats_mod._dcor_kernel(xa, ya)[2])
         for _ in range(3):
             perm = rng.permutation(len(x))
             dcov2, dvx, dvy = dcov_oracle(x, [y[i] for i in perm])
