@@ -36,9 +36,10 @@ DEFAULT_N_WINDOWS = 15
 #: Fewest windows with a nonzero residual the log-log fit accepts.
 MIN_WINDOWS_FOR_FIT = 5
 
-# Peak magnitudes the estimator works on unscaled: outside this band the
-# profile or its squared residuals could overflow or underflow.
-_UNSCALED_PEAK = (2.0**-400, 2.0**400)
+# Peak magnitudes worked on unscaled. Inside this band a profile's squared
+# residuals stay finite, and so does the product of two sums of squares
+# (Pearson's denominator, the distance variances) of two inputs at its edge.
+_UNSCALED_PEAK = (2.0**-200, 2.0**200)
 
 # Bounds the fit operators kept per process; the study workload run in one
 # process meets about 730 distinct (w, order) keys.
@@ -65,6 +66,17 @@ class AfaResult:
         return len(self.points)
 
 
+def scale_extreme_peak(x: np.ndarray) -> np.ndarray:
+    """`x` itself when its peak |x| lies in [2^-200, 2^200], else `x`
+    rescaled exactly by a power of two to a peak in [0.5, 1). A statistic
+    that does not depend on scale is then the same for any finite input,
+    and keeps its bits for every input inside the band."""
+    peak = float(np.max(np.abs(x)))
+    if _UNSCALED_PEAK[0] <= peak <= _UNSCALED_PEAK[1]:
+        return x
+    return np.ldexp(x, -np.frexp(peak)[1])
+
+
 def profile(series) -> np.ndarray:
     """Cumulative sum of the mean-centered series.
 
@@ -84,7 +96,12 @@ def segment_starts(n_samples: int, w: int) -> np.ndarray:
     not land exactly on the last sample, one extra segment is appended,
     right-anchored to end there.
     """
-    _check_window(n_samples, w)
+    if w % 2 == 0:
+        raise ValueError(f"window size must be odd, got {w}")
+    if w < 3:
+        raise ValueError(f"window size must be >= 3, got {w}")
+    if w > n_samples:
+        raise ValueError(f"window size {w} exceeds series length {n_samples}")
     n = (w - 1) // 2
     last = n_samples - 1 - 2 * n
     starts = np.arange(0, last + 1, n)
@@ -104,15 +121,6 @@ def blend_weights(step: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"step must be >= 1, got {step}")
     w2 = np.arange(step + 1) / step
     return 1.0 - w2, w2
-
-
-def _check_window(n_samples: int, w: int) -> None:
-    if w % 2 == 0:
-        raise ValueError(f"window size must be odd, got {w}")
-    if w < 3:
-        raise ValueError(f"window size must be >= 3, got {w}")
-    if w > n_samples:
-        raise ValueError(f"window size {w} exceeds series length {n_samples}")
 
 
 @functools.lru_cache(maxsize=_FIT_OPERATOR_CACHE_SIZE)
@@ -142,13 +150,10 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
     right-anchored, in which case its blend region is shorter than n.
     """
     u = np.asarray(u, dtype=float)
-    n_samples = u.size
-    _check_window(n_samples, w)
+    starts = segment_starts(u.size, w)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-
     n = (w - 1) // 2
-    starts = segment_starts(n_samples, w)
     last_center = starts[-1] + n
 
     # least-squares polynomial fit of every segment, a chunk of rows at a time
@@ -159,19 +164,18 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
     for k in range(0, starts.size, rows):
         np.matmul(windows[starts[k : k + rows]] @ solve_t, design_t, out=fits[k : k + rows])
 
-    v = np.empty(n_samples)
+    v = np.empty(u.size)
     v[: n + 1] = fits[0, : n + 1]
-    # row k blends fits k and k+1 at offsets j = 0..n-1 past center k, where
-    # fit k+1 covers them from its own offset j
-    j = np.arange(n)
-    frac = j / n
-    blend = (1.0 - frac) * fits[:-1, n : 2 * n] + frac * fits[1:, :n]
+    # row k blends fits k and k+1 at offsets 0..n-1 past center k, where
+    # fit k+1 covers them from its own offsets 0..n-1
+    w1, w2 = blend_weights(n)
+    blend = w1[:n] * fits[:-1, n : 2 * n] + w2[:n] * fits[1:, :n]
     step = int(starts[-1] - starts[-2]) if starts.size > 1 else n
     if step != n:
         # a right-anchored last segment sits `step` < n past its neighbor,
         # so its row fades over that shorter step and is cut there
-        frac = j / step
-        blend[-1] = (1.0 - frac) * fits[-2, n : 2 * n] + frac * fits[-1, n - step + j]
+        w1, w2 = blend_weights(step)
+        blend[-1, :step] = w1[:step] * fits[-2, n : n + step] + w2[:step] * fits[-1, n - step : n]
     v[n:last_center] = blend.ravel()[: last_center - n]
     v[last_center:] = fits[-1, last_center - starts[-1] :]
     return v
@@ -211,7 +215,7 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
     `order` is the polynomial order of the local fits. The slope is the
     estimate; the line's R^2 grades how well the scaling relation holds.
     Any finite magnitude is accepted: a series whose peak |x| lies outside
-    [2^-400, 2^400] is first rescaled exactly by a power of two.
+    [2^-200, 2^200] is first rescaled exactly by a power of two.
 
     Raises ValueError for an order outside [0, 3] (an order-4 fit passes
     through all five samples of the smallest window), for input that is
@@ -240,12 +244,7 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
     # profile, so rule it out exactly rather than through F(w)
     if np.all(x == x[0]):
         raise DegenerateSeriesError("degenerate series: constant input")
-    # H does not depend on scale; bring an extreme peak into [0.5, 1) exactly
-    peak = float(np.max(np.abs(x)))
-    if not _UNSCALED_PEAK[0] <= peak <= _UNSCALED_PEAK[1]:
-        x = np.ldexp(x, -np.frexp(peak)[1])
-
-    u = profile(x)
+    u = profile(scale_extreme_peak(x))
     points = []
     for w in windows:
         v = global_trend(u, w, order)

@@ -197,7 +197,9 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
         help="permutation p-value for the distance correlation from B >= 0 draws "
         "(default off, as is 0; 9999 draws when enabled bare)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for permutation draws")
+    parser.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="seed for permutation draws, at least 0"
+    )
 
 
 def _cmd_arc(args) -> int:
@@ -248,15 +250,6 @@ def _cmd_analyze(args) -> int:
         jobs=args.jobs,
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _open_out(out_dir / "results.csv") as fh:
-        serialize.write_results_csv(records, fh)
-    with _open_out(out_dir / "scatter.csv") as fh:
-        serialize.write_scatter_csv(records, fh)
-    with _open_out(out_dir / "ratings_scatter.csv") as fh:
-        serialize.write_ratings_scatter_csv(records, fh)
-
     thresholds = sorted(set(args.min_ratings if args.min_ratings else [0, 30]))
     reports = []
     for threshold in thresholds:
@@ -271,6 +264,16 @@ def _cmd_analyze(args) -> int:
             )
         except SentarcError as exc:
             log.warning("threshold %d skipped: %s", threshold, exc)
+
+    # every output is computed before the first file is written
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with _open_out(out_dir / "results.csv") as fh:
+        serialize.write_results_csv(records, fh)
+    with _open_out(out_dir / "scatter.csv") as fh:
+        serialize.write_scatter_csv(records, fh)
+    with _open_out(out_dir / "ratings_scatter.csv") as fh:
+        serialize.write_ratings_scatter_csv(records, fh)
     with _open_out(out_dir / "report.json") as fh:
         fh.write(serialize.reports_json(reports))
     return 0
@@ -308,10 +311,7 @@ def _cmd_cluster(args) -> int:
             )
             continue
         arcs.append(series)
-    try:
-        labels, merges = arc_mod.cluster_arcs(arcs, args.k)
-    except ValueError as exc:
-        raise SentarcError(str(exc)) from exc
+    labels, merges = arc_mod.cluster_arcs(arcs, args.k)
     with _open_out(args.out) as fh:
         serialize.write_labels_csv(labels, fh)
     if args.tree_out:
@@ -321,11 +321,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        spec = SynthSpec(target_h=args.h, n=args.n, seed=args.seed)
-    except ValueError as exc:
-        raise SentarcError(str(exc)) from exc
-    values = fgn(spec)
+    values = fgn(SynthSpec(target_h=args.h, n=args.n, seed=args.seed))
     with _open_out(args.out) as fh:
         serialize.write_series_csv(values, fh)
     return 0
@@ -463,7 +459,9 @@ def build_parser() -> _Parser:
     )
     p_synth.add_argument("--h", type=float, required=True, help="target Hurst exponent in (0,1)")
     p_synth.add_argument("--n", type=int, required=True, help="series length, a power of two >= 64")
-    p_synth.add_argument("--seed", type=int, default=1, help="generator seed (default 1)")
+    p_synth.add_argument(
+        "--seed", type=_int_at_least(0), default=1, help="generator seed, at least 0 (default 1)"
+    )
     p_synth.add_argument("--out", default="-", help="CSV destination (default stdout)")
     p_synth.set_defaults(func=_cmd_synth)
 

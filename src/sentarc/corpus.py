@@ -122,15 +122,6 @@ def _nul_free(lines, path, error: type[SentarcError]):
         yield line
 
 
-def _csv_rows(reader, path, error: type[SentarcError]):
-    """The rows of a csv.reader, with its csv.Error (a field over the size
-    limit, say) raised as `error` at the reader's line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise error(f"{path}:{reader.line_num}: {exc}") from None
-
-
 def read_csv_table(
     lines, path, fields: dict, error: type[SentarcError]
 ) -> Iterator[tuple[int, dict]]:
@@ -145,25 +136,30 @@ def read_csv_table(
     the csv module sees it.
     """
     reader = csv.reader(_nul_free(lines, path, error))
-    rows = _csv_rows(reader, path, error)
-    header = next(rows, None)
-    if header is None or [cell.strip() for cell in header] != list(fields):
-        raise error(
-            f"{path}: expected header {','.join(fields)!r}, "
-            f"got {'<empty file>' if header is None else ','.join(header)!r}"
-        )
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != len(fields):
-            raise error(f"{path}:{reader.line_num}: expected {len(fields)} fields, got {len(row)}")
-        values = {}
-        for (name, parse), text in zip(fields.items(), row):
-            try:
-                values[name] = parse(text)
-            except ValueError as exc:
-                raise error(f"{path}:{reader.line_num}: {name}: {exc}") from None
-        yield reader.line_num, values
+    try:
+        header = next(reader, None)
+        if header is None or [cell.strip() for cell in header] != list(fields):
+            raise error(
+                f"{path}: expected header {','.join(fields)!r}, "
+                f"got {'<empty file>' if header is None else ','.join(header)!r}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise error(
+                    f"{path}:{reader.line_num}: expected {len(fields)} fields, got {len(row)}"
+                )
+            values = {}
+            for (name, parse), text in zip(fields.items(), row):
+                try:
+                    values[name] = parse(text)
+                except ValueError as exc:
+                    raise error(f"{path}:{reader.line_num}: {name}: {exc}") from None
+            yield reader.line_num, values
+    except csv.Error as exc:
+        # a field over the size limit, say
+        raise error(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _read_csv_file(path, what: str, fields: dict) -> list[tuple[int, dict]]:
@@ -243,19 +239,22 @@ def _run_worker(story: Story):
 
 
 def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
-    """`fn(story, *args)` for every story, in corpus order, over `jobs`
-    worker processes when `jobs` > 1 and there is more than one story.
+    """`fn(story, *args)` for every story, in corpus order.
 
-    Workers receive `fn` and `args` once, at start-up, and stories in
-    chunks of four.
+    Stories go to worker processes in chunks of four, over at most `jobs`
+    workers and never more than there are chunks; when that leaves one
+    worker, the stories run in this process. Workers receive `fn` and
+    `args` once, at start-up.
     """
-    if jobs > 1 and len(corpus) > 1:
+    chunk = 4
+    workers = min(jobs, -(-len(corpus) // chunk))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(fn, args),
         ) as pool:
-            return list(pool.map(_run_worker, corpus, chunksize=4))
+            return list(pool.map(_run_worker, corpus, chunksize=chunk))
     return [fn(story, *args) for story in corpus]
 
 
@@ -321,7 +320,8 @@ def correlate(
     """All four correlations between Hurst and average rating.
 
     Keeps records with a non-null Hurst and strictly more than
-    `min_ratings` ratings; at least three must survive. A permutation
+    `min_ratings` ratings; at least three must survive, and neither their
+    exponents nor their ratings may all be equal. A permutation
     p-value for the distance correlation is computed only when
     `dcor_permutations` is given.
     """
@@ -336,6 +336,12 @@ def correlate(
         )
     h = [r.hurst for r in kept]
     ratings = [r.avg_rating for r in kept]
+    for name, values in (("hurst", h), ("avg_rating", ratings)):
+        if min(values) == max(values):
+            raise CorpusError(
+                f"{name} is {values[0]} in all {len(kept)} records with ratings "
+                f"above {min_ratings}; the correlations are undefined"
+            )
     r_p, p_p = pearson(h, ratings)
     rho, p_rho = spearman(h, ratings)
     tau, p_tau = kendall_tau(h, ratings)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr
 
+from .afa import scale_extreme_peak
+
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -33,6 +35,10 @@ class CorrelationReport:
 
 
 def _validated_pair(x, y, min_n: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, each brought into the band of
+    `scale_extreme_peak`: every statistic here is invariant under a positive
+    scale factor on either input, so any finite magnitude gives the same
+    result."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.ndim != 1 or ya.ndim != 1:
@@ -43,7 +49,7 @@ def _validated_pair(x, y, min_n: int = 3) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need at least {min_n} observations, got {xa.size}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise ValueError("inputs must be finite")
-    return xa, ya
+    return scale_extreme_peak(xa), scale_extreme_peak(ya)
 
 
 def _t_test_p(r: float, n: int) -> float:
@@ -185,18 +191,15 @@ def kendall_tau(x, y) -> tuple[float, float]:
     xa, ya = _validated_pair(x, y)
     n = xa.size
     s, tx, ty = _kendall_s(xa, ya)
-    # integers far below 2**53, so the floats are exact
-    s, tx, ty = float(s), tx.astype(float), ty.astype(float)
-
-    n0 = n * (n - 1) / 2.0
-    n1 = float(np.sum(tx * (tx - 1) / 2.0))
-    n2 = float(np.sum(ty * (ty - 1) / 2.0))
-    denom = math.sqrt((n0 - n1) * (n0 - n2))
+    n0 = n * (n - 1) // 2
+    denom = math.sqrt((n0 - _tied_pairs(tx)) * (n0 - _tied_pairs(ty)))
     if denom == 0.0:
         raise ValueError("undefined tau: all ties in one input")
     tau = s / denom
     tau = min(max(tau, -1.0), 1.0)
 
+    # integers far below 2**53, so the floats are exact
+    tx, ty = tx.astype(float), ty.astype(float)
     v0 = n * (n - 1) * (2 * n + 5)
     vt = float(np.sum(tx * (tx - 1) * (2 * tx + 5)))
     vu = float(np.sum(ty * (ty - 1) * (2 * ty + 5)))
@@ -407,6 +410,8 @@ def distance_correlation_test(
     side of dcor - γ, and every count is the one the blocked kernel alone
     gives.
     """
+    if permutations < 0:
+        raise ValueError(f"permutations must be >= 0, got {permutations}")
     xa, ya = _validated_pair(x, y)
     scale, ratio, centering = _dcor_kernel(xa, ya)
     if ratio is None:

@@ -18,6 +18,7 @@ from sentarc import (
     profile,
     white_noise,
 )
+from sentarc import afa as afa_mod
 from sentarc.afa import _TREND_CHUNK_CELLS, _fit_operators, blend_weights, segment_starts
 
 
@@ -227,6 +228,23 @@ def test_trend_bit_identical_at_both_endings(n_samples, w, anchored):
         assert_same_bits(global_trend(u, w, order), take_along_axis_trend(u, w, order))
 
 
+@pytest.mark.parametrize("n_samples,w,steps", [(61, 7, [3]), (63, 7, [3, 2]), (5, 5, [2])])
+def test_trend_fades_through_blend_weights(monkeypatch, n_samples, w, steps):
+    """The kernel takes its cross-fade from blend_weights, the function
+    acceptance criterion 4 checks: once per call over the regular step,
+    and once more over a right-anchored last segment's shorter step."""
+    calls = []
+
+    def spy(step):
+        calls.append(step)
+        return blend_weights(step)
+
+    monkeypatch.setattr(afa_mod, "blend_weights", spy)
+    u = np.random.default_rng(n_samples).normal(size=n_samples).cumsum()
+    global_trend(u, w)
+    assert calls == steps
+
+
 def test_cached_fit_operators_are_read_only():
     first = _fit_operators(9, 1)
     assert _fit_operators(9, 1) is first
@@ -391,7 +409,7 @@ def test_estimate_shift_scale_equivariant():
 )
 def test_estimate_invariant_under_affine_maps_of_any_scale(h, seed, log10_a, b):
     """H(a·x + a·b) = H(x) for every a in [1e-300, 1e300], so the scaled
-    series crosses the power-of-two rescale above 2^400 and below 2^-400."""
+    series crosses the power-of-two rescale above 2^200 and below 2^-200."""
     x = fgn(SynthSpec(h, 1024, seed))
     a = 10.0**log10_a
     got = estimate_hurst(a * x + a * b)

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import fgn_token_text, package_env, write_graded_lexicon_file, write_story
 from sentarc import SynthSpec, estimate_hurst, fgn
+from sentarc import corpus as corpus_mod
 from sentarc import serialize
 from sentarc.cli import _open_out, _read_series, main
 from sentarc.errors import SentarcError
@@ -703,6 +704,28 @@ def test_negative_dcor_permutations_is_a_parse_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["analyze", "correlate", "synth"])
+def test_negative_seed_is_a_parse_error(tmp_path, lexicon_path, small_corpus, capsys, subcommand):
+    corpus, ratings = small_corpus
+    out = tmp_path / "out"
+    argv = {
+        "analyze": [
+            "analyze",
+            "--corpus", str(corpus),
+            "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings),
+            "--out", str(out),
+            "--dcor-permutations", "5",
+        ],
+        "correlate": ["correlate", "--results", "missing.csv", "--out", str(out)],
+        "synth": ["synth", "--h", "0.7", "--n", "128", "--out", str(out)],
+    }[subcommand]
+    code, stdout, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert (code, stdout) == (1, "")
+    assert "--seed: must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 def test_zero_dcor_permutations_means_off(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text(
@@ -768,6 +791,62 @@ def test_correlate_threshold_too_strict_exit_1(tmp_path, lexicon_path, small_cor
         capsys,
     )
     assert code == 1
+
+
+def test_constant_threshold_skipped_by_analyze_failed_by_correlate(
+    tmp_path, lexicon_path, small_corpus, capsys, caplog
+):
+    # above 30 ratings every kept story has 4.0: no correlation is defined
+    corpus, _ = small_corpus
+    ratings = tmp_path / "constant.csv"
+    ratings.write_text(
+        "id,title,avg_rating,n_ratings\n"
+        "alpha,Alpha,3.0,5\n"
+        "beta,Beta,4.0,40\n"
+        "gamma,Gamma,4.0,50\n"
+        "delta,Delta,4.0,60\n"
+    )
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        [
+            "analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings), "--out", str(out_dir), "--jobs", "1",
+        ],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    reason = "avg_rating is 4.0 in all 3 records with ratings above 30"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"threshold 30 skipped: {reason}; the correlations are undefined"
+    ]
+    reports = json.loads((out_dir / "report.json").read_text())
+    assert [(r["min_ratings_filter"], r["n"]) for r in reports] == [(0, 4)]
+
+    code, out, err = run_cli(["correlate", "--results", str(out_dir / "results.csv")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: threshold 30: {reason}")
+
+
+def test_analyze_writes_nothing_when_a_report_fails(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch
+):
+    corpus, ratings = small_corpus
+    out_dir = tmp_path / "out"
+
+    def fail(*args, **kwargs):
+        raise ValueError("report failed")
+
+    monkeypatch.setattr(corpus_mod, "correlate", fail)
+    code, _, err = run_cli(
+        [
+            "analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings), "--out", str(out_dir), "--jobs", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "error: report failed" in err
+    assert not out_dir.exists()
 
 
 # ----------------------------------------------------------------- cluster

@@ -19,6 +19,8 @@ from sentarc import (
     load_ratings,
 )
 from conftest import GRADED_WORDS, fgn_token_text, write_story
+from sentarc import corpus as corpus_mod
+from sentarc.corpus import Story
 from sentarc.lexicon import Lexicon
 
 
@@ -164,6 +166,13 @@ def test_mapping_error_names_physical_line(tmp_path):
         load_id_mapping(path)
 
 
+def test_oversized_header_field_names_line_one(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("id,title," + "x" * 200_000 + ",n_ratings\n")
+    with pytest.raises(RatingsError, match=re.escape(f"{path}:1: field larger than field limit")):
+        load_ratings(path)
+
+
 def test_mapping_bad_header_raises(tmp_path):
     path = tmp_path / "map.csv"
     path.write_text("file,ratings\na,b\n")
@@ -275,12 +284,49 @@ def test_empty_corpus_raises(graded_lex):
 
 
 def test_parallel_matches_serial(tmp_path, graded_lex):
-    for i in range(4):
-        write_story(tmp_path, f"s{i}", fgn_token_text(0.5 + 0.1 * i, 1024, seed=i))
+    # 8 stories make two chunks of four, so jobs=2 starts two workers
+    for i in range(8):
+        write_story(tmp_path, f"s{i}", fgn_token_text(0.5 + 0.05 * i, 1024, seed=i))
     corpus = load_corpus(tmp_path)
     serial = analyze_corpus(corpus, graded_lex, jobs=1)
     parallel = analyze_corpus(corpus, graded_lex, jobs=2)
     assert serial == parallel
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and runs the chunks in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        FakePool.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        assert chunksize == 4
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "n_stories,jobs,workers",
+    [(3, 64, None), (4, 2, None), (5, 1, None), (5, 2, 2), (8, 64, 2), (9, 64, 3), (600, 2, 2)],
+)
+def test_pool_sized_by_its_chunks(monkeypatch, n_stories, jobs, workers):
+    monkeypatch.setattr(corpus_mod, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(corpus_mod, "_WORKER_TASK", None)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    stories = [Story(id=f"s{i}", title="", text="") for i in range(n_stories)]
+    got = corpus_mod._map_stories(lambda story, tag: (story.id, tag), stories, jobs, "t")
+    assert got == [(s.id, "t") for s in stories]
+    # min(jobs, chunks of four); one worker means no pool at all
+    assert FakePool.sizes == ([] if workers is None else [workers])
 
 
 def test_build_arcs_same_at_any_jobs(tmp_path, graded_lex):
@@ -404,6 +450,19 @@ def test_correlate_monotone_filtering():
 def test_correlate_too_few_survivors():
     records = [make_record("a", 0.5, 3.0, 10), make_record("b", 0.6, 3.5, 10)]
     with pytest.raises(CorpusError):
+        correlate(records, min_ratings=30)
+
+
+@pytest.mark.parametrize(
+    "records,constant",
+    [
+        ([make_record(f"s{i}", 0.6, 3.0 + i / 2, 40) for i in range(4)], "hurst"),
+        ([make_record(f"s{i}", 0.5 + i / 10, 4.0, 40) for i in range(4)], "avg_rating"),
+    ],
+    ids=["hurst", "avg_rating"],
+)
+def test_correlate_rejects_constant_inputs(records, constant):
+    with pytest.raises(CorpusError, match=f"{constant} is .* in all 4 records with ratings above 30"):
         correlate(records, min_ratings=30)
 
 

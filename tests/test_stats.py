@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentarc import (
@@ -419,6 +419,12 @@ def test_dcor_test_counts_exact_ties(seed):
     assert distance_correlation_test(x, y, permutations=30, seed=seed)[1] == 1.0
 
 
+@pytest.mark.parametrize("permutations", [-1, -3])
+def test_dcor_test_rejects_negative_permutations(permutations):
+    with pytest.raises(ValueError, match="permutations must be >= 0"):
+        distance_correlation_test([0.1, 0.5, 0.3, 0.9], [1.0, 2.0, 3.0, 5.0], permutations)
+
+
 def test_dcor_test_matches_dense_loop_on_tiny_inputs(monkeypatch):
     """At n = 3 to 6 many draws reproduce the observed matrix exactly, so
     the fast ratio lands inside the margin and the blocked kernel decides
@@ -541,3 +547,42 @@ def test_positive_affine_invariance(x, data, scale, shift):
     assert distance_correlation(xt, y) == pytest.approx(
         distance_correlation(x, y), abs=1e-9
     )
+
+
+def all_statistics(x, y):
+    return (
+        *pearson(x, y), *spearman(x, y), *kendall_tau(x, y),
+        *distance_correlation_test(x, y, permutations=19, seed=3),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=3, max_size=40),
+    st.data(),
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.floats(min_value=-300.0, max_value=300.0),
+)
+def test_statistics_independent_of_input_scale(x, data, log10_a, log10_b):
+    """Scaling x by a and y by b, each any positive factor in [1e-300,
+    1e300], leaves every statistic and p-value within 1e-12 of its
+    unit-scale value: peaks outside [2^-200, 2^200] are rescaled by a power
+    of two before squares and cross products can overflow or underflow."""
+    y = data.draw(st.lists(st.integers(-50, 50), min_size=len(x), max_size=len(x)))
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    # near |r| = 1 the t-test p-value amplifies the rounding of the scaling
+    assume(abs(pearson(x, y)[0]) < 0.99)
+    a, b = 10.0**log10_a, 10.0**log10_b
+    got = all_statistics([a * v for v in x], [b * v for v in y])
+    assert got == pytest.approx(all_statistics(x, y), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a,b", [(1e200, 1), (1e-200, 1), (1, 1e200), (1, 1e-200), (1e100, 1e100), (1e-100, 1e-100)]
+)
+def test_statistics_at_extreme_scale_match_unit_scale(a, b):
+    rng = np.random.default_rng(5)
+    h = rng.uniform(0.3, 0.9, 40)
+    rating = np.round(3.0 + h + rng.normal(0, 0.4, 40), 2)
+    got = all_statistics(h * a, rating * b)
+    assert got == pytest.approx(all_statistics(h, rating), rel=0, abs=1e-12)
