@@ -86,14 +86,12 @@ def window_summary(arc: SentimentArc, window_size: int = 30) -> WindowSummary:
     """
     if window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
-    n = arc.n_tokens
-    n_windows = -(-n // window_size)  # ceil
-    means = np.empty(n_windows, dtype=float)
-    stds = np.empty(n_windows, dtype=float)
-    for k in range(n_windows):
-        chunk = arc.raw[k * window_size : (k + 1) * window_size]
-        means[k] = chunk.mean()
-        stds[k] = chunk.std()
+    full = arc.n_tokens - arc.n_tokens % window_size
+    windows = arc.raw[:full].reshape(-1, window_size)
+    means, stds = windows.mean(axis=1), windows.std(axis=1)
+    if full < arc.n_tokens:
+        tail = arc.raw[full:]
+        means, stds = np.append(means, tail.mean()), np.append(stds, tail.std())
     return WindowSummary(window_size=window_size, means=means, stds=stds)
 
 

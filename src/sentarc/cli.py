@@ -8,7 +8,7 @@ existing results table), `cluster` (group arc shapes), and `synth`
 
 Exit codes: 0 success, 1 user error (bad arguments or input files),
 2 internal error. Diagnostics go to stderr; data goes to files or stdout.
-`-` names stdin/stdout for single-series inputs and outputs.
+`-` names stdin for an input file and stdout for an output file.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import arc as arc_mod
 from . import corpus as corpus_mod
-from . import serialize
+from . import inputs, serialize
 from .afa import MIN_WINDOW, estimate_hurst
 from .errors import SentarcError
 from .lexicon import load_lexicon
@@ -45,17 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except FileNotFoundError:
-        raise SentarcError(f"no such file: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SentarcError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_series(path: str) -> np.ndarray:
     """One-column numeric series; an optional non-numeric first line is a header.
 
@@ -64,7 +53,7 @@ def _read_series(path: str) -> np.ndarray:
     skipped. The values go straight into a float64 array, never a list of
     Python floats.
     """
-    lines = _read_text(path).splitlines()
+    lines = inputs.lines(inputs.read_text(path, SentarcError))
     # bulk path: every line is a number, or every line but a first-line
     # header; anything else goes through the loop, which names the bad line
     for skip in (0, 1):
@@ -204,7 +193,7 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
 
 def _cmd_arc(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    text = _read_text(args.story)
+    text = inputs.read_text(args.story, SentarcError)
     story_id = "stdin" if args.story == "-" else Path(args.story).stem
     series = arc_mod.arc_from_text(text, lexicon, story_id, args.smooth_fraction)
     with _open_out(args.out) as fh:
@@ -223,7 +212,9 @@ def _cmd_hurst(args) -> int:
         if not args.lexicon:
             raise SentarcError("a story input requires --lexicon")
         values = arc_mod.arc_from_text(
-            _read_text(args.story), load_lexicon(args.lexicon), Path(args.story).stem
+            inputs.read_text(args.story, SentarcError),
+            load_lexicon(args.lexicon),
+            Path(args.story).stem,
         ).raw
     else:
         values = _read_series(args.series)
@@ -280,7 +271,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    records = serialize.read_results_csv(_read_text(args.results), args.results)
+    text = inputs.read_text(args.results, SentarcError)
+    records = serialize.read_results_csv(text, args.results)
     thresholds = sorted(set(args.min_ratings if args.min_ratings else [30]))
     reports = []
     for threshold in thresholds:
@@ -476,6 +468,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        inputs_named = ("story", "series", "lexicon", "ratings", "mapping", "results")
+        if sum(getattr(args, name, None) == "-" for name in inputs_named) > 1:
+            raise SentarcError("at most one input may be -: stdin can be read only once")
         return args.func(args)
     except (SentarcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

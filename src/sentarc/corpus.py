@@ -10,12 +10,10 @@ estimator rejects keep a reason-coded record rather than disappearing.
 
 from __future__ import annotations
 
-import csv
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
 
 from . import arc as arc_mod
 from .afa import estimate_hurst
@@ -23,9 +21,9 @@ from .errors import (
     CorpusError,
     DegenerateSeriesError,
     RatingsError,
-    SentarcError,
     SeriesTooShortError,
 )
+from .inputs import read_csv_table, read_text
 from .lexicon import Lexicon
 from .stats import (
     CorrelationReport,
@@ -87,8 +85,8 @@ def _title_from_stem(stem: str) -> str:
 def load_corpus(directory) -> list[Story]:
     """Every `*.txt` file in the directory, as stories in id order.
 
-    The id is the file stem. Files that fail UTF-8 decoding are logged
-    and skipped.
+    The id is the file stem. Files that cannot be read or fail UTF-8
+    decoding are logged and skipped.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -101,73 +99,12 @@ def load_corpus(directory) -> list[Story]:
     stories = []
     for path in paths:
         try:
-            text = path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError:
-            log.warning("%s: not valid UTF-8, skipped", path)
-            continue
-        except OSError as exc:
-            log.warning("%s: unreadable (%s), skipped", path, exc)
+            text = read_text(path, CorpusError)
+        except CorpusError as exc:
+            log.warning("%s, skipped", exc)
             continue
         stories.append(Story(id=path.stem, title=_title_from_stem(path.stem), text=text))
     return stories
-
-
-def _nul_free(lines, path, error: type[SentarcError]):
-    """The lines unchanged, except that a line holding NUL raises `error`
-    at its line number: Python 3.10's csv module cannot read NUL and 3.11's
-    can, so NUL is no CSV character on any version."""
-    for number, line in enumerate(lines, start=1):
-        if "\0" in line:
-            raise error(f"{path}:{number}: NUL character")
-        yield line
-
-
-def read_csv_table(
-    lines, path, fields: dict, error: type[SentarcError]
-) -> Iterator[tuple[int, dict]]:
-    """Each non-blank row of a CSV table as (line, {column: parsed cell}).
-
-    `lines` is a text stream opened with newline="" and `fields` maps each
-    column, in header order, to the parser of its text. The header must
-    match the columns once its cells are stripped. A row with the wrong
-    field count, a cell its parser rejects with ValueError, or text the csv
-    module cannot split raises `error` as "PATH:LINE: ..."; LINE is the
-    physical line the row ends on. A line holding NUL is rejected before
-    the csv module sees it.
-    """
-    reader = csv.reader(_nul_free(lines, path, error))
-    try:
-        header = next(reader, None)
-        if header is None or [cell.strip() for cell in header] != list(fields):
-            raise error(
-                f"{path}: expected header {','.join(fields)!r}, "
-                f"got {'<empty file>' if header is None else ','.join(header)!r}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(fields):
-                raise error(
-                    f"{path}:{reader.line_num}: expected {len(fields)} fields, got {len(row)}"
-                )
-            values = {}
-            for (name, parse), text in zip(fields.items(), row):
-                try:
-                    values[name] = parse(text)
-                except ValueError as exc:
-                    raise error(f"{path}:{reader.line_num}: {name}: {exc}") from None
-            yield reader.line_num, values
-    except csv.Error as exc:
-        # a field over the size limit, say
-        raise error(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def _read_csv_file(path, what: str, fields: dict) -> list[tuple[int, dict]]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return list(read_csv_table(fh, path, fields, RatingsError))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise RatingsError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_ratings(path) -> list[RatingRecord]:
@@ -178,7 +115,8 @@ def load_ratings(path) -> list[RatingRecord]:
     header and unparsable numerics raise RatingsError.
     """
     records: dict[str, RatingRecord] = {}
-    for line, row in _read_csv_file(path, "ratings", _RATINGS_FIELDS):
+    rows = read_csv_table(read_text(path, RatingsError), path, _RATINGS_FIELDS, RatingsError)
+    for line, row in rows:
         story_id, avg, count = row["id"], row["avg_rating"], row["n_ratings"]
         if not 1.0 <= avg <= 5.0:
             log.warning("%s:%d: avg_rating %s outside [1, 5], row rejected", path, line, avg)
@@ -197,7 +135,8 @@ def load_id_mapping(path) -> dict[str, str]:
     """Optional `file_id,ratings_id` CSV for mismatched join keys. As in the
     ratings, a repeated file_id is rejected with a logged line number."""
     mapping: dict[str, str] = {}
-    for line, row in _read_csv_file(path, "mapping", {"file_id": str, "ratings_id": str}):
+    fields = {"file_id": str, "ratings_id": str}
+    for line, row in read_csv_table(read_text(path, RatingsError), path, fields, RatingsError):
         if row["file_id"] in mapping:
             log.warning("%s:%d: duplicate id %r, row rejected", path, line, row["file_id"])
         else:

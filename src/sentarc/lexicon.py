@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import LexiconError
+from .inputs import lines, read_text
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +59,7 @@ def load_lexicon(path) -> Lexicon:
     entries: dict[str, float] = {}
     n_duplicates = 0
     n_rejected = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
-
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines(read_text(path, LexiconError)), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

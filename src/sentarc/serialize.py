@@ -7,7 +7,6 @@ boundaries elsewhere.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import re
@@ -17,8 +16,9 @@ import numpy as np
 
 from .afa import AfaResult
 from .arc import Merge, SentimentArc, WindowSummary
-from .corpus import StoryRecord, read_csv_table
+from .corpus import StoryRecord
 from .errors import SentarcError
+from .inputs import read_csv_table
 from .stats import CorrelationReport
 
 
@@ -165,7 +165,7 @@ def read_results_csv(text: str, path: str) -> list[StoryRecord]:
     count, or an unparsable or non-finite value raises SentarcError naming
     the line and column.
     """
-    rows = read_csv_table(io.StringIO(text, newline=""), path, _RESULTS_FIELDS, SentarcError)
+    rows = read_csv_table(text, path, _RESULTS_FIELDS, SentarcError)
     return [StoryRecord(**values) for _, values in rows]
 
 

@@ -137,6 +137,32 @@ def test_window_means_weighted_average_is_series_mean(values, width):
     assert (summary.stds >= 0).all()
 
 
+def window_summary_loop(arc, window_size):
+    """One window at a time: the oracle for `window_summary`."""
+    n_windows = -(-arc.n_tokens // window_size)
+    means = np.empty(n_windows, dtype=float)
+    stds = np.empty(n_windows, dtype=float)
+    for k in range(n_windows):
+        chunk = arc.raw[k * window_size : (k + 1) * window_size]
+        means[k] = chunk.mean()
+        stds[k] = chunk.std()
+    return means, stds
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_window_summary_matches_window_loop_bits(n, width, seed):
+    arc = arc_from_values(np.random.default_rng(seed).random(n))
+    summary = window_summary(arc, width)
+    means, stds = window_summary_loop(arc, width)
+    assert summary.means.tobytes() == means.tobytes()
+    assert summary.stds.tobytes() == stds.tobytes()
+
+
 # ------------------------------------------------------------------- smooth
 
 

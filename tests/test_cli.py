@@ -10,7 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import fgn_token_text, package_env, write_graded_lexicon_file, write_story
+from conftest import (
+    fgn_token_text,
+    package_env,
+    write_graded_lexicon_file,
+    write_lexicon_file,
+    write_story,
+)
 from sentarc import SynthSpec, estimate_hurst, fgn
 from sentarc import corpus as corpus_mod
 from sentarc import serialize
@@ -54,7 +60,7 @@ def small_corpus(tmp_path, lexicon_path):
 def test_synth_pipes_into_hurst(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["synth", "--h", "0.7", "--n", "4096", "--seed", "1"], capsys)
     assert code == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(out.encode("utf-8"))))
     code, out, _ = run_cli(["hurst", "--series", "-"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -1027,3 +1033,113 @@ def test_analyze_parallel_matches_serial_bytes(tmp_path, lexicon_path, small_cor
         assert code == 0
         payloads.append((out_dir / "results.csv").read_bytes())
     assert payloads[0] == payloads[1]
+
+
+# ------------------------------------------------------------------ inputs
+
+
+def with_bom(path):
+    """A copy of the file at `path` that starts with a UTF-8 byte-order mark."""
+    copy = path.with_name("bom_" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("bom_input", ["--ratings", "--mapping"])
+def test_analyze_ignores_a_bom(tmp_path, lexicon_path, small_corpus, capsys, bom_input):
+    corpus, ratings = small_corpus
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("file_id,ratings_id\nalpha,gamma\n")
+    files = {"--ratings": ratings, "--mapping": mapping}
+    results = []
+    for run in ("plain", "bom"):
+        if run == "bom":
+            files[bom_input] = with_bom(files[bom_input])
+        argv = ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path)]
+        argv += [str(part) for item in files.items() for part in item]
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / run), "--jobs", "1"], capsys)
+        assert code == 0, err
+        results.append((tmp_path / run / "results.csv").read_bytes())
+    assert results[0] == results[1]
+
+
+def test_correlate_ignores_a_bom(tmp_path, lexicon_path, small_corpus, capsys):
+    corpus, ratings = small_corpus
+    out_dir = tmp_path / "out"
+    argv = ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path)]
+    argv += ["--ratings", str(ratings), "--out", str(out_dir), "--jobs", "1"]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    reports = []
+    for results in (out_dir / "results.csv", with_bom(out_dir / "results.csv")):
+        argv = ["correlate", "--results", str(results), "--min-ratings", "0"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def test_hurst_series_ignores_a_bom(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    values = np.random.default_rng(5).normal(size=200).tolist()
+    series.write_text("".join(f"{v!r}\n" for v in values))
+    outputs = []
+    for path in (series, with_bom(series)):
+        code, out, err = run_cli(["hurst", "--series", str(path)], capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_arc_ignores_a_bom(tmp_path, lexicon_path, capsys):
+    story = write_story(tmp_path, "tale", "gaa gba gca gda gea")
+    outputs = []
+    for path in (story, with_bom(story)):
+        code, out, err = run_cli(["arc", str(path), "--lexicon", str(lexicon_path)], capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_hurst_series_error_names_the_line_after_a_form_feed(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    # line 71 is a page break, which str.splitlines() would count twice
+    series.write_text("".join(f"{v}\n" for v in range(70)) + "\f\nx\n")
+    code, _, err = run_cli(["hurst", "--series", str(series)], capsys)
+    assert code == 1
+    assert f"{series}:72: expected one numeric column, got 'x'" in err
+
+
+def test_arc_reads_stdin_as_utf8_whatever_its_encoding(tmp_path):
+    lexicon = write_lexicon_file(tmp_path / "lexicon.tsv", ["café\t0.9"])
+    story = write_story(tmp_path, "tale", "café au lait")
+    env = {**package_env(), "PYTHONIOENCODING": "latin-1"}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "sentarc", "arc", name, "--lexicon", str(lexicon)],
+            input=story.read_bytes(), capture_output=True, env=env,
+        )
+        for name in (str(story), "-")
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout.splitlines()[1].startswith(b"0,0.9")
+    assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arc", "-", "--lexicon", "-"],
+        ["hurst", "--series", "-", "--lexicon", "-"],
+        ["analyze", "--corpus", ".", "--lexicon", "-", "--ratings", "-", "--out", "o"],
+    ],
+)
+def test_stdin_feeds_at_most_one_input(capsys, monkeypatch, argv):
+    # stdin reads once: a second `-` input would read it empty
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"good\t0.9\n")))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: at most one input may be -" in err
+    assert sys.stdin.buffer.read() == b"good\t0.9\n"

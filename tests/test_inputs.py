@@ -1,0 +1,47 @@
+import io
+import re
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sentarc import LexiconError, RatingsError, load_id_mapping, load_lexicon, load_ratings
+from sentarc.errors import SentarcError
+from sentarc.inputs import lines, read_text
+
+# every line end of str.splitlines(), of which the csv module counts only
+# CR and LF, and a BOM
+LINE_TEXT = st.text(alphabet=st.sampled_from("ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff"))
+
+
+@given(LINE_TEXT | st.text())
+def test_lines_end_where_the_csv_module_counts(text):
+    # a line from newline="" holds no CR or LF but its end
+    want = [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
+    assert lines(text) == want
+
+
+def test_read_text_drops_one_leading_bom(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes("\ufeff\ufeffa\ufeff\r\n".encode("utf-8"))
+    assert read_text(path, SentarcError) == "\ufeffa\ufeff\r\n"
+
+
+def test_read_text_errors_take_one_of_two_forms(tmp_path):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(SentarcError, match=f"^no such file: {re.escape(str(missing))}$"):
+        read_text(missing, SentarcError)
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("café".encode("latin-1"))
+    with pytest.raises(SentarcError, match=f"^cannot read {re.escape(str(latin))}: 'utf-8' codec"):
+        read_text(latin, SentarcError)
+
+
+@pytest.mark.parametrize(
+    "load, error",
+    [(load_lexicon, LexiconError), (load_ratings, RatingsError), (load_id_mapping, RatingsError)],
+)
+def test_every_reader_names_a_missing_file_alike(tmp_path, load, error):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(error, match=f"^no such file: {re.escape(str(missing))}$"):
+        load(missing)

@@ -88,6 +88,28 @@ def test_missing_file_raises():
         load_lexicon("/no/such/lexicon.tsv")
 
 
+def test_headerless_lexicon_ignores_a_bom(tmp_path):
+    plain = write_lexicon_file(tmp_path / "plain.tsv", ["good\t0.9", "bad\t0.1"], header=False)
+    bom = tmp_path / "bom.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    lex = load_lexicon(bom)
+    assert lex.entries == load_lexicon(plain).entries == {"good": 0.9, "bad": 0.1}
+    assert lex.n_rejected == 0
+    assert sentiment_series(["good"], lex).raw.tolist() == [0.9]
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x85"])
+def test_only_cr_and_lf_end_a_lexicon_line(tmp_path, caplog, separator):
+    path = write_lexicon_file(tmp_path / "lex.tsv", [f"sun{separator}shine\t0.9", "broken"])
+    with caplog.at_level("WARNING"):
+        lex = load_lexicon(path)
+    assert lex.entries == {f"sun{separator}shine": 0.9}
+    assert lex.n_rejected == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:3: malformed lexicon line, rejected"
+    ]
+
+
 def test_serialize_round_trip(tmp_path):
     entries = {"alpha": 0.123456789012345, "beta": 1.0, "gamma": 0.0}
     reloaded = load_lexicon(write_entries(tmp_path / "saved.tsv", entries))
