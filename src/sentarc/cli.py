@@ -29,7 +29,7 @@ from . import __version__
 from . import arc as arc_mod
 from . import corpus as corpus_mod
 from . import inputs, serialize
-from .afa import MIN_WINDOW, estimate_hurst
+from .afa import MIN_SERIES_LENGTH, MIN_WINDOW, estimate_hurst
 from .errors import SentarcError
 from .lexicon import load_lexicon
 from .synth import SynthSpec, fgn
@@ -137,6 +137,14 @@ def _int_at_least(minimum: int):
     return _checked(int, lambda value: value >= minimum, f">= {minimum}")
 
 
+def _path(text: str) -> str:
+    """An argparse type for a file or directory: any text but the empty
+    string, which `Path` would read as the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _add_order_flag(parser) -> None:
     parser.add_argument(
         "--order",
@@ -172,10 +180,11 @@ def _add_smooth_flag(parser) -> None:
 def _add_correlation_flags(parser, default_thresholds: str) -> None:
     parser.add_argument(
         "--min-ratings",
-        type=int,
+        type=_int_at_least(0),
         action="append",
         metavar="N",
-        help=f"keep stories with more than N ratings; repeatable (default: {default_thresholds})",
+        help="keep stories with more than N ratings, N >= 0; repeatable "
+        f"(default: {default_thresholds})",
     )
     parser.add_argument(
         "--dcor-permutations",
@@ -338,8 +347,8 @@ def build_parser() -> _Parser:
             "windows of --window tokens."
         ),
     )
-    p_arc.add_argument("story", help="story text file, or - for stdin")
-    p_arc.add_argument("--lexicon", required=True, help="tab-separated valence lexicon")
+    p_arc.add_argument("story", type=_path, help="story text file, or - for stdin")
+    p_arc.add_argument("--lexicon", type=_path, required=True, help="tab-separated valence lexicon")
     _add_smooth_flag(p_arc)
     p_arc.add_argument(
         "--window",
@@ -347,8 +356,12 @@ def build_parser() -> _Parser:
         default=30,
         help="summary window in tokens, at least 1 (default 30)",
     )
-    p_arc.add_argument("--out", default="-", help="arc CSV destination (default stdout)")
-    p_arc.add_argument("--windows-out", metavar="PATH", help="also write windowed mean/std CSV")
+    p_arc.add_argument(
+        "--out", type=_path, default="-", help="arc CSV destination (default stdout)"
+    )
+    p_arc.add_argument(
+        "--windows-out", type=_path, metavar="PATH", help="also write windowed mean/std CSV"
+    )
     p_arc.set_defaults(func=_cmd_arc)
 
     p_hurst = sub.add_parser(
@@ -364,12 +377,16 @@ def build_parser() -> _Parser:
             "file has columns: log2_w, log2_F."
         ),
     )
-    p_hurst.add_argument("story", nargs="?", help="story text file (needs --lexicon)")
-    p_hurst.add_argument("--series", metavar="PATH", help="one-column numeric CSV, or -")
-    p_hurst.add_argument("--lexicon", help="tab-separated valence lexicon")
+    p_hurst.add_argument("story", type=_path, nargs="?", help="story text file (needs --lexicon)")
+    p_hurst.add_argument(
+        "--series", type=_path, metavar="PATH", help="one-column numeric CSV, or -"
+    )
+    p_hurst.add_argument("--lexicon", type=_path, help="tab-separated valence lexicon")
     _add_order_flag(p_hurst)
-    p_hurst.add_argument("--out", default="-", help="JSON destination (default stdout)")
-    p_hurst.add_argument("--points-out", metavar="PATH", help="also write the scaling points CSV")
+    p_hurst.add_argument("--out", type=_path, default="-", help="JSON destination (default stdout)")
+    p_hurst.add_argument(
+        "--points-out", type=_path, metavar="PATH", help="also write the scaling points CSV"
+    )
     p_hurst.set_defaults(func=_cmd_hurst)
 
     p_analyze = sub.add_parser(
@@ -382,8 +399,10 @@ def build_parser() -> _Parser:
         epilog=(
             "Files written: results.csv with columns id, title, n_tokens, "
             "coverage, hurst, r_squared, avg_rating, n_ratings, sweet_spot "
-            "(true when 0.55 <= hurst <= 0.65), status (ok | too_short | "
-            "degenerate); report.json, an array with one correlation report "
+            f"(true when {corpus_mod.SWEET_SPOT_LOW} <= hurst <= "
+            f"{corpus_mod.SWEET_SPOT_HIGH}), status (ok when hurst is given, "
+            f"too_short when n_tokens < {MIN_SERIES_LENGTH}, degenerate "
+            "otherwise); report.json, an array with one correlation report "
             "per --min-ratings threshold (fields: min_ratings_filter, n, "
             "pearson_r, pearson_p, spearman_rho, spearman_p, kendall_tau, "
             "kendall_p, distance_corr, distance_corr_p); scatter.csv with "
@@ -391,11 +410,17 @@ def build_parser() -> _Parser:
             "with columns id, n_ratings, avg_rating."
         ),
     )
-    p_analyze.add_argument("--corpus", required=True, help="directory of *.txt stories")
-    p_analyze.add_argument("--lexicon", required=True, help="tab-separated valence lexicon")
-    p_analyze.add_argument("--ratings", required=True, help="CSV id,title,avg_rating,n_ratings")
-    p_analyze.add_argument("--mapping", metavar="PATH", help="CSV file_id,ratings_id join aliases")
-    p_analyze.add_argument("--out", required=True, help="output directory")
+    p_analyze.add_argument("--corpus", type=_path, required=True, help="directory of *.txt stories")
+    p_analyze.add_argument(
+        "--lexicon", type=_path, required=True, help="tab-separated valence lexicon"
+    )
+    p_analyze.add_argument(
+        "--ratings", type=_path, required=True, help="CSV id,title,avg_rating,n_ratings"
+    )
+    p_analyze.add_argument(
+        "--mapping", type=_path, metavar="PATH", help="CSV file_id,ratings_id join aliases"
+    )
+    p_analyze.add_argument("--out", type=_path, required=True, help="output directory")
     _add_correlation_flags(p_analyze, "0 and 30")
     _add_jobs_flag(p_analyze)
     _add_order_flag(p_analyze)
@@ -411,9 +436,9 @@ def build_parser() -> _Parser:
             "spearman_p, kendall_tau, kendall_p, distance_corr, distance_corr_p."
         ),
     )
-    p_corr.add_argument("--results", required=True, help="results.csv from analyze")
+    p_corr.add_argument("--results", type=_path, required=True, help="results.csv from analyze")
     _add_correlation_flags(p_corr, "30")
-    p_corr.add_argument("--out", default="-", help="JSON destination (default stdout)")
+    p_corr.add_argument("--out", type=_path, default="-", help="JSON destination (default stdout)")
     p_corr.set_defaults(func=_cmd_correlate)
 
     p_cluster = sub.add_parser(
@@ -429,15 +454,21 @@ def build_parser() -> _Parser:
             "height (merge distance), size (merged cluster size)."
         ),
     )
-    p_cluster.add_argument("--corpus", required=True, help="directory of *.txt stories")
-    p_cluster.add_argument("--lexicon", required=True, help="tab-separated valence lexicon")
+    p_cluster.add_argument("--corpus", type=_path, required=True, help="directory of *.txt stories")
+    p_cluster.add_argument(
+        "--lexicon", type=_path, required=True, help="tab-separated valence lexicon"
+    )
     p_cluster.add_argument(
         "--k", type=_int_at_least(1), required=True, help="number of clusters, at least 1"
     )
     _add_smooth_flag(p_cluster)
     _add_jobs_flag(p_cluster)
-    p_cluster.add_argument("--out", default="-", help="labels CSV destination (default stdout)")
-    p_cluster.add_argument("--tree-out", metavar="PATH", help="also write the merge tree CSV")
+    p_cluster.add_argument(
+        "--out", type=_path, default="-", help="labels CSV destination (default stdout)"
+    )
+    p_cluster.add_argument(
+        "--tree-out", type=_path, metavar="PATH", help="also write the merge tree CSV"
+    )
     p_cluster.set_defaults(func=_cmd_cluster)
 
     p_synth = sub.add_parser(
@@ -454,7 +485,7 @@ def build_parser() -> _Parser:
     p_synth.add_argument(
         "--seed", type=_int_at_least(0), default=1, help="generator seed, at least 0 (default 1)"
     )
-    p_synth.add_argument("--out", default="-", help="CSV destination (default stdout)")
+    p_synth.add_argument("--out", type=_path, default="-", help="CSV destination (default stdout)")
     p_synth.set_defaults(func=_cmd_synth)
 
     return parser

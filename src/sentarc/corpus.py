@@ -16,13 +16,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import arc as arc_mod
-from .afa import estimate_hurst
-from .errors import (
-    CorpusError,
-    DegenerateSeriesError,
-    RatingsError,
-    SeriesTooShortError,
-)
+from .afa import MIN_SERIES_LENGTH, estimate_hurst
+from .errors import AfaError, CorpusError, RatingsError
 from .inputs import read_csv_table, read_text
 from .lexicon import Lexicon
 from .stats import (
@@ -63,7 +58,11 @@ class RatingRecord:
 
 @dataclass(frozen=True)
 class StoryRecord:
-    """Per-story pipeline result, rating-joined when a match exists."""
+    """Per-story pipeline result, rating-joined when a match exists.
+
+    `status` and `sweet_spot` are derived from `hurst` and `n_tokens`, so
+    no record can carry a status or flag its estimate contradicts.
+    """
 
     id: str
     title: str
@@ -73,8 +72,20 @@ class StoryRecord:
     r_squared: float | None
     avg_rating: float | None
     n_ratings: int | None
-    sweet_spot: bool
-    status: str
+
+    @property
+    def status(self) -> str:
+        """`ok` with an estimate; without one, `too_short` below
+        MIN_SERIES_LENGTH tokens and `degenerate` otherwise. Exact, because
+        `estimate_hurst` checks the length before any degeneracy."""
+        if self.hurst is not None:
+            return STATUS_OK
+        return STATUS_TOO_SHORT if self.n_tokens < MIN_SERIES_LENGTH else STATUS_DEGENERATE
+
+    @property
+    def sweet_spot(self) -> bool:
+        """Whether the estimate lies in the paper's sweet-spot band."""
+        return self.hurst is not None and SWEET_SPOT_LOW <= self.hurst <= SWEET_SPOT_HIGH
 
 
 def _title_from_stem(stem: str) -> str:
@@ -150,17 +161,13 @@ def _analyze_story(story: Story, lexicon: Lexicon, order: int) -> StoryRecord:
     hurst = r_squared = None
     try:
         result = estimate_hurst(series.raw, order)
-    except SeriesTooShortError:
-        status = STATUS_TOO_SHORT
-    except DegenerateSeriesError:
-        status = STATUS_DEGENERATE
+    except AfaError:
+        pass  # the record's status gives the reason
     else:
-        hurst, r_squared, status = result.hurst, result.r_squared, STATUS_OK
+        hurst, r_squared = result.hurst, result.r_squared
     return StoryRecord(
         id=story.id, title=story.title, n_tokens=series.n_tokens, coverage=series.coverage,
         hurst=hurst, r_squared=r_squared, avg_rating=None, n_ratings=None,
-        sweet_spot=hurst is not None and SWEET_SPOT_LOW <= hurst <= SWEET_SPOT_HIGH,
-        status=status,
     )
 
 

@@ -14,9 +14,9 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .afa import AfaResult
+from .afa import MIN_SERIES_LENGTH, AfaResult
 from .arc import Merge, SentimentArc, WindowSummary
-from .corpus import StoryRecord
+from .corpus import STATUS_DEGENERATE, STATUS_OK, STATUS_TOO_SHORT, StoryRecord
 from .errors import SentarcError
 from .inputs import read_csv_table
 from .stats import CorrelationReport
@@ -130,24 +130,44 @@ def _optional(parse):
     return lambda text: parse(text) if text else None
 
 
-def _bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text == "true"
+def _within(parse, low, high=math.inf):
+    """`parse`, rejecting a value outside [low, high] with ValueError."""
+
+    def checked(text: str):
+        value = parse(text)
+        if not low <= value <= high:
+            rule = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise ValueError(f"must be {rule}, got {text}")
+        return value
+
+    return checked
+
+
+def _one_of(values: dict):
+    """The value `values` maps the text to; other text raises ValueError."""
+
+    def parse(text: str):
+        try:
+            return values[text]
+        except KeyError:
+            *most, last = values
+            raise ValueError(f"expected {', '.join(most)} or {last}, got {text!r}") from None
+
+    return parse
 
 
 # results.csv column -> parser of its text, in header order
 _RESULTS_FIELDS = {
     "id": str,
     "title": str,
-    "n_tokens": int,
-    "coverage": _finite,
+    "n_tokens": _within(int, 0),
+    "coverage": _within(_finite, 0, 1),
     "hurst": _optional(_finite),
-    "r_squared": _optional(_finite),
-    "avg_rating": _optional(_finite),
-    "n_ratings": _optional(int),
-    "sweet_spot": _bool,
-    "status": str,
+    "r_squared": _optional(_within(_finite, 0, 1)),
+    "avg_rating": _optional(_within(_finite, 1, 5)),
+    "n_ratings": _optional(_within(int, 0)),
+    "sweet_spot": _one_of({"true": True, "false": False}),
+    "status": _one_of({s: s for s in (STATUS_OK, STATUS_TOO_SHORT, STATUS_DEGENERATE)}),
 }
 
 RESULTS_HEADER = list(_RESULTS_FIELDS)
@@ -158,15 +178,48 @@ def write_results_csv(records: list[StoryRecord], out: IO[str]) -> None:
     _write_csv(out, RESULTS_HEADER, rows)
 
 
+def _row_fault(record: StoryRecord, derived: dict, line: int, first_line: int) -> str | None:
+    """The first rule tying a results.csv row's cells together that the row
+    breaks, as "column: reason", or None. `derived` holds the row's
+    sweet_spot and status cells; `first_line` is where its id first came."""
+    if first_line != line:
+        return f"id: duplicate {record.id!r}, first on line {first_line}"
+    for a, b in (("hurst", "r_squared"), ("avg_rating", "n_ratings")):
+        if (getattr(record, a) is None) != (getattr(record, b) is None):
+            empty, given = (a, b) if getattr(record, a) is None else (b, a)
+            return f"{empty}: empty, but {given} is given"
+    if record.hurst is not None and record.n_tokens < MIN_SERIES_LENGTH:
+        return (
+            f"hurst: given for {record.n_tokens} tokens; "
+            f"an estimate needs at least {MIN_SERIES_LENGTH}"
+        )
+    for name, cell in derived.items():
+        want = getattr(record, name)
+        if cell != want:
+            return f"{name}: got {_opt(cell)}, but hurst and n_tokens give {_opt(want)}"
+    return None
+
+
 def read_results_csv(text: str, path: str) -> list[StoryRecord]:
     """Parse results.csv text back into records; `path` labels the errors.
 
-    Blank lines are skipped. A wrong header, a row with the wrong field
-    count, or an unparsable or non-finite value raises SentarcError naming
-    the line and column.
+    Blank lines are skipped. Each cell must parse, be finite and lie in its
+    column's range, and each row must be one `analyze` writes: r_squared is
+    given exactly when hurst is, and avg_rating exactly when n_ratings is;
+    a hurst needs n_tokens >= MIN_SERIES_LENGTH; ids are unique; and the
+    sweet_spot and status cells are what the record derives from hurst and
+    n_tokens. A failure raises SentarcError as "PATH:LINE: column: reason".
     """
-    rows = read_csv_table(text, path, _RESULTS_FIELDS, SentarcError)
-    return [StoryRecord(**values) for _, values in rows]
+    records = []
+    first_lines: dict[str, int] = {}
+    for line, values in read_csv_table(text, path, _RESULTS_FIELDS, SentarcError):
+        derived = {name: values.pop(name) for name in ("sweet_spot", "status")}
+        record = StoryRecord(**values)
+        fault = _row_fault(record, derived, line, first_lines.setdefault(record.id, line))
+        if fault:
+            raise SentarcError(f"{path}:{line}: {fault}")
+        records.append(record)
+    return records
 
 
 def write_scatter_csv(records: list[StoryRecord], out: IO[str]) -> None:

@@ -633,6 +633,47 @@ def test_out_in_missing_directory_names_the_output(tmp_path, capsys):
         ("a,A,100,1,0.6,0.9,3.5,40,yes,ok", ":3: sweet_spot: expected true or false, got 'yes'"),
         ("a,A,100,1,0.6,0.9,3.5,40,1,ok", ":3: sweet_spot: expected true or false, got '1'"),
         ("a,A,100,1,0.6,0.9,3.5,40,True,ok", ":3: sweet_spot: expected true or false, got 'True'"),
+        # each cell in its column's range
+        ("a,A,-5,1,,,3.5,40,false,too_short", ":3: n_tokens: must be >= 0, got -5"),
+        ("a,A,100,7.5,0.6,0.9,3.5,40,true,ok", ":3: coverage: must be in [0, 1], got 7.5"),
+        ("a,A,100,1,0.6,-3,3.5,40,true,ok", ":3: r_squared: must be in [0, 1], got -3"),
+        ("a,A,100,1,0.6,0.9,9.0,40,true,ok", ":3: avg_rating: must be in [1, 5], got 9.0"),
+        ("a,A,100,1,0.6,0.9,3.5,-2,true,ok", ":3: n_ratings: must be >= 0, got -2"),
+        (
+            "a,A,100,1,0.6,0.9,3.5,40,true,bogus",
+            ":3: status: expected ok, too_short or degenerate, got 'bogus'",
+        ),
+        # the rules that tie a row's cells together
+        ("b,B2,100,1,0.5,0.9,3.5,40,false,ok", ":3: id: duplicate 'b', first on line 2"),
+        ("a,A,100,1,,0.9,3.5,40,false,degenerate", ":3: hurst: empty, but r_squared is given"),
+        ("a,A,100,1,0.6,,3.5,40,true,ok", ":3: r_squared: empty, but hurst is given"),
+        ("a,A,100,1,0.6,0.9,,40,true,ok", ":3: avg_rating: empty, but n_ratings is given"),
+        ("a,A,100,1,0.6,0.9,3.5,,true,ok", ":3: n_ratings: empty, but avg_rating is given"),
+        (
+            "a,A,40,1,0.6,0.9,3.5,40,true,too_short",
+            ":3: hurst: given for 40 tokens; an estimate needs at least 60",
+        ),
+        # sweet_spot and status are what hurst and n_tokens give
+        (
+            "a,A,100,1,0.6,0.9,3.5,40,true,degenerate",
+            ":3: status: got degenerate, but hurst and n_tokens give ok",
+        ),
+        (
+            "a,A,59,1,,,3.5,40,false,degenerate",
+            ":3: status: got degenerate, but hurst and n_tokens give too_short",
+        ),
+        (
+            "a,A,60,1,,,3.5,40,false,too_short",
+            ":3: status: got too_short, but hurst and n_tokens give degenerate",
+        ),
+        (
+            "a,A,100,1,0.7,0.9,3.5,40,true,ok",
+            ":3: sweet_spot: got true, but hurst and n_tokens give false",
+        ),
+        (
+            "a,A,100,1,0.55,0.9,3.5,40,false,ok",
+            ":3: sweet_spot: got false, but hurst and n_tokens give true",
+        ),
     ],
 )
 def test_correlate_reports_malformed_results_row(tmp_path, capsys, row, message):
@@ -732,6 +773,58 @@ def test_negative_seed_is_a_parse_error(tmp_path, lexicon_path, small_corpus, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["analyze", "correlate"])
+def test_negative_min_ratings_is_a_parse_error(
+    tmp_path, lexicon_path, small_corpus, capsys, subcommand
+):
+    corpus, ratings = small_corpus
+    out = tmp_path / "out"
+    argv = {
+        "analyze": [
+            "analyze",
+            "--corpus", str(corpus),
+            "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings),
+            "--out", str(out),
+        ],
+        "correlate": ["correlate", "--results", "missing.csv", "--out", str(out)],
+    }[subcommand]
+    code, stdout, err = run_cli(argv + ["--min-ratings", "0", "--min-ratings", "-5"], capsys)
+    assert (code, stdout) == (1, "")
+    assert "--min-ratings: must be >= 0, got -5" in err
+    assert not out.exists()
+
+
+# each subcommand's path arguments, with the other arguments it requires
+_PATH_ARGS = {
+    "arc": (["--lexicon", "--out", "--windows-out"], ["story.txt"]),
+    "hurst": (["--series", "--lexicon", "--out", "--points-out"], []),
+    "analyze": (["--corpus", "--lexicon", "--ratings", "--mapping", "--out"], []),
+    "correlate": (["--results", "--out"], []),
+    "cluster": (["--corpus", "--lexicon", "--out", "--tree-out"], ["--k", "1"]),
+    "synth": (["--out"], ["--h", "0.5", "--n", "64"]),
+}
+
+
+def _argv_with_one_empty_path():
+    for command, (flags, extra) in _PATH_ARGS.items():
+        for empty in flags:
+            paths = [[flag, "" if flag == empty else "x"] for flag in flags]
+            yield pytest.param([command, *extra, *sum(paths, [])], empty, id=f"{command} {empty}")
+    for command in ("arc", "hurst"):
+        yield pytest.param([command, "", "--lexicon", "x"], "story", id=f"{command} story")
+
+
+@pytest.mark.parametrize("argv,flag", _argv_with_one_empty_path())
+def test_empty_path_is_a_parse_error_naming_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    # an empty path would otherwise name the current directory
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert f"argument {flag}: must not be empty" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_dcor_permutations_means_off(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text(
@@ -776,6 +869,53 @@ def test_correlate_from_results(tmp_path, lexicon_path, small_corpus, capsys):
     assert reports[0]["n"] == 4
     assert 0.0 <= reports[0]["distance_corr"] <= 1.0
     assert reports[0]["distance_corr_p"] is None
+
+
+def test_correlate_writes_analyze_report_from_its_results(tmp_path, lexicon_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    quoted = 'o\'hara, "the" tale'  # a comma and a quote in the id and the title
+    texts = {
+        quoted: fgn_token_text(0.45, 1024, seed=31),
+        "beta": fgn_token_text(0.55, 1024, seed=32),
+        "gamma": fgn_token_text(0.7, 1024, seed=33),
+        "delta": fgn_token_text(0.85, 1024, seed=34),
+        "unrated": fgn_token_text(0.6, 1024, seed=35),
+        "flat": "gbw " * 500,
+        "stub": "gaa gab gac",
+    }
+    for name, text in texts.items():
+        write_story(corpus, name, text)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text(
+        "id,title,avg_rating,n_ratings\n"
+        '"o\'hara, ""the"" tale",Q,3.1,40\n'
+        "beta,Beta,3.6,45\ngamma,Gamma,4.0,200\ndelta,Delta,4.4,3100\n"
+        "flat,Flat,2.0,80\nstub,Stub,4.5,10\n"
+    )
+    flags = ["--min-ratings", "0", "--min-ratings", "30", "--dcor-permutations", "49"]
+    flags += ["--seed", "7"]
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(
+        [
+            "analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings), "--out", str(out_dir), "--jobs", "1", *flags,
+        ],
+        capsys,
+    )
+    assert code == 0
+    results = out_dir / "results.csv"
+    rows = list(csv.DictReader(io.StringIO(results.read_text(), newline="")))
+    assert {r["status"] for r in rows} == {"ok", "too_short", "degenerate"}
+    assert [r["avg_rating"] for r in rows if r["id"] == "unrated"] == [""]
+    assert [r["title"] for r in rows if r["id"] == quoted] == ['O\'hara, "the" Tale']
+
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(
+        ["correlate", "--results", str(results), "--out", str(report), *flags], capsys
+    )
+    assert (code, err) == (0, "")
+    assert report.read_bytes() == (out_dir / "report.json").read_bytes()
 
 
 def test_correlate_threshold_too_strict_exit_1(tmp_path, lexicon_path, small_corpus, capsys):

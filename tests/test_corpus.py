@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from sentarc import (
     CorpusError,
+    DegenerateSeriesError,
     RatingRecord,
     RatingsError,
+    SeriesTooShortError,
     StoryRecord,
     analyze_corpus,
     arc_from_text,
     build_arcs,
     correlate,
+    estimate_hurst,
     load_corpus,
     load_id_mapping,
     load_ratings,
@@ -39,8 +43,6 @@ def make_record(story_id, hurst, avg_rating, n_ratings):
         r_squared=0.99,
         avg_rating=avg_rating,
         n_ratings=n_ratings,
-        sweet_spot=hurst is not None and 0.55 <= hurst <= 0.65,
-        status="ok" if hurst is not None else "too_short",
     )
 
 
@@ -247,6 +249,45 @@ def test_sweet_spot_flag(tmp_path, graded_lex):
     assert records[0].sweet_spot
     assert not records[1].sweet_spot
     assert not records[2].sweet_spot
+
+
+def test_record_stores_neither_status_nor_sweet_spot():
+    assert [f.name for f in fields(StoryRecord)] == [
+        "id", "title", "n_tokens", "coverage", "hurst", "r_squared", "avg_rating", "n_ratings",
+    ]
+    record = make_record("a", 0.6, 4.0, 50)
+    assert (record.status, record.sweet_spot) == ("ok", True)
+    assert replace(record, hurst=None, n_tokens=59).status == "too_short"
+    assert replace(record, hurst=None, n_tokens=60).status == "degenerate"
+    assert replace(record, hurst=0.65).sweet_spot and not replace(record, hurst=None).sweet_spot
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_tokens=st.integers(0, 130),
+    constant_share=st.sampled_from([0.0, 0.97, 1.0]),
+    order=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_status_names_the_error_estimate_hurst_raises(n_tokens, constant_share, order, seed):
+    """The derived status is exact: it names the error the estimator raises
+    on the story's series, even for series that are constant save a few
+    tokens."""
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 101, n_tokens)
+    levels[rng.random(n_tokens) < constant_share] = 50
+    text = " ".join(list(GRADED_WORDS)[i] for i in levels)
+    lexicon = Lexicon(entries=dict(GRADED_WORDS))
+    try:
+        estimate_hurst(arc_from_text(text, lexicon).raw, order)
+        want = "ok"
+    except SeriesTooShortError:
+        want = "too_short"
+    except DegenerateSeriesError:
+        want = "degenerate"
+    record = corpus_mod._analyze_story(Story(id="s", title="S", text=text), lexicon, order)
+    assert record.status == want
+    assert (record.hurst is None) == (want != "ok")
 
 
 def test_join_never_invents_ratings(tmp_path, graded_lex):

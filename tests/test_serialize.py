@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentarc import AfaResult, CorrelationReport, StoryRecord
+from sentarc.afa import MIN_SERIES_LENGTH
 from sentarc.errors import SentarcError
+from sentarc.inputs import lines
 from sentarc.serialize import (
+    RESULTS_HEADER,
     fmt_float,
     hurst_json,
     read_results_csv,
@@ -19,7 +23,7 @@ from sentarc.serialize import (
     write_scatter_csv,
     write_series_csv,
 )
-from sentarc.serialize import _CSV_CHUNK, _SERIES_CHUNK, _opt, _write_csv
+from sentarc.serialize import _CSV_CHUNK, _SERIES_CHUNK, _cell, _opt, _write_csv
 
 
 def make_report(**overrides):
@@ -81,8 +85,6 @@ def test_results_csv_blank_fields_for_missing_values():
         r_squared=None,
         avg_rating=None,
         n_ratings=None,
-        sweet_spot=False,
-        status="too_short",
     )
     buf = io.StringIO()
     write_results_csv([record], buf)
@@ -99,7 +101,7 @@ def results_csv(records) -> str:
 def make_record(**overrides):
     base = dict(
         id="tale", title="Tale", n_tokens=100, coverage=0.5, hurst=0.6, r_squared=0.9,
-        avg_rating=4.0, n_ratings=50, sweet_spot=True, status="ok",
+        avg_rating=4.0, n_ratings=50,
     )
     base.update(overrides)
     return StoryRecord(**base)
@@ -127,27 +129,38 @@ _text = st.text(
     | st.sampled_from(',"' + SEPARATORS)
 )
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_unit = st.floats(0, 1)
+
+
+def _outside(low, high):
+    return _finite.filter(lambda value: not low <= value <= high)
 
 
 @st.composite
-def story_records(draw):
+def story_records(draw, text=_text):
+    """Records that keep every rule `read_results_csv` enforces."""
     hurst = draw(st.none() | _finite)
+    # an estimate needs 60 tokens; draw near that floor as often as far above it
+    low = 0 if hurst is None else MIN_SERIES_LENGTH
+    rated = draw(st.booleans())
     return StoryRecord(
-        id=draw(_text),
-        title=draw(_text),
-        n_tokens=draw(st.integers(0, 10**9)),
-        coverage=draw(_finite),
+        id=draw(text),
+        title=draw(text),
+        n_tokens=draw(st.integers(low, 120) | st.integers(low, 10**9)),
+        coverage=draw(_unit),
         hurst=hurst,
-        r_squared=None if hurst is None else draw(_finite),
-        avg_rating=draw(st.none() | _finite),
-        n_ratings=draw(st.none() | st.integers(0, 10**9)),
-        sweet_spot=draw(st.booleans()),
-        status=draw(st.sampled_from(["ok", "too_short", "degenerate"])),
+        r_squared=None if hurst is None else draw(_unit),
+        avg_rating=draw(st.floats(1, 5)) if rated else None,
+        n_ratings=draw(st.integers(0, 10**9)) if rated else None,
     )
 
 
+def _unique_ids(records):
+    return st.lists(records, max_size=5, unique_by=lambda r: r.id)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(story_records(), max_size=5))
+@given(_unique_ids(story_records()))
 def test_results_csv_round_trip(records):
     # NUL is no CSV character: the writer refuses it rather than round-trip it
     if any("\0" in r.id + r.title for r in records):
@@ -155,6 +168,74 @@ def test_results_csv_round_trip(records):
             results_csv(records)
     else:
         assert read_results_csv(results_csv(records), "results.csv") == records
+
+
+_STATUSES = ("ok", "too_short", "degenerate")
+_nul_free_text = _text.filter(lambda t: "\0" not in t)
+
+
+@st.composite
+def tables_breaking_one_rule(draw):
+    """(text, column): rows that keep every rule, then a last row that
+    breaks exactly one, and the column its error must name."""
+    records = draw(_unique_ids(story_records(_nul_free_text)).filter(bool))
+    taken = {r.id for r in records}
+    record = draw(story_records(_nul_free_text).filter(lambda r: r.id not in taken))
+    rule = draw(st.sampled_from([
+        "id", "n_tokens", "coverage", "r_squared", "avg_rating", "n_ratings", "status",
+        "derived status", "derived sweet_spot", "r_squared pair", "rating pair", "hurst",
+    ]))
+    hurst = draw(_finite) if record.hurst is None else record.hurst
+    rated = dict(avg_rating=draw(st.floats(1, 5)), n_ratings=draw(st.integers(0, 10**9)))
+    edits, column = {}, rule
+    if rule == "id":
+        record = replace(record, id=draw(st.sampled_from(records)).id)
+    elif rule == "n_tokens":
+        # no estimate and under 60 tokens: the derived status stays too_short
+        record = replace(record, hurst=None, r_squared=None, n_tokens=draw(st.integers(-10**9, -1)))
+    elif rule == "coverage":
+        record = replace(record, coverage=draw(_outside(0, 1)))
+    elif rule == "r_squared":
+        n_tokens = max(record.n_tokens, MIN_SERIES_LENGTH)
+        record = replace(record, hurst=hurst, r_squared=draw(_outside(0, 1)), n_tokens=n_tokens)
+    elif rule in ("avg_rating", "n_ratings"):
+        bad = draw(_outside(1, 5)) if rule == "avg_rating" else draw(st.integers(-10**9, -1))
+        record = replace(record, **{**rated, rule: bad})
+    elif rule == "status":
+        edits["status"] = draw(_nul_free_text.filter(lambda t: t not in _STATUSES))
+    elif rule == "derived status":
+        column = "status"
+        edits["status"] = draw(st.sampled_from([s for s in _STATUSES if s != record.status]))
+    elif rule == "derived sweet_spot":
+        column = "sweet_spot"
+        edits["sweet_spot"] = "false" if record.sweet_spot else "true"
+    elif rule == "r_squared pair":
+        if record.hurst is None:
+            record, column = replace(record, r_squared=draw(_unit)), "hurst"
+        else:
+            record, column = replace(record, r_squared=None), "r_squared"
+    elif rule == "rating pair":
+        if record.avg_rating is None:
+            given = draw(st.sampled_from(sorted(rated)))
+            record = replace(record, **{given: rated[given]})
+            column = ({"avg_rating", "n_ratings"} - {given}).pop()
+        else:
+            column = draw(st.sampled_from(sorted(rated)))
+            record = replace(record, **{column: None})
+    else:  # an estimate below the estimator's 60 tokens, with a status to match
+        n_tokens = draw(st.integers(0, MIN_SERIES_LENGTH - 1))
+        record = replace(record, hurst=hurst, r_squared=draw(_unit), n_tokens=n_tokens)
+    cells = {name: getattr(record, name) for name in RESULTS_HEADER} | edits
+    return results_csv(records) + ",".join(map(_cell, cells.values())) + "\n", column
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_breaking_one_rule())
+def test_results_csv_rejects_a_row_breaking_one_rule(table):
+    text, column = table
+    line = len(lines(text))
+    with pytest.raises(SentarcError, match=rf"^results\.csv:{line}: {column}: "):
+        read_results_csv(text, "results.csv")
 
 
 @pytest.mark.parametrize("cell", ["a\0b", '"a\0b"', "\0"], ids=repr)
@@ -232,11 +313,11 @@ def test_write_csv_chunk_boundaries(length):
 def test_scatter_skips_incomplete_records():
     complete = StoryRecord(
         id="a", title="A", n_tokens=100, coverage=1.0, hurst=0.6, r_squared=0.9,
-        avg_rating=4.0, n_ratings=50, sweet_spot=True, status="ok",
+        avg_rating=4.0, n_ratings=50,
     )
     unrated = StoryRecord(
         id="b", title="B", n_tokens=100, coverage=1.0, hurst=0.7, r_squared=0.9,
-        avg_rating=None, n_ratings=None, sweet_spot=False, status="ok",
+        avg_rating=None, n_ratings=None,
     )
     buf = io.StringIO()
     write_scatter_csv([complete, unrated], buf)
