@@ -174,14 +174,14 @@ def _analyze_story(story: Story, lexicon: Lexicon, order: int) -> StoryRecord:
 _WORKER_TASK: tuple | None = None
 
 
-def _init_worker(fn, args):
+def _init_worker(fn, corpus, args):
     global _WORKER_TASK
-    _WORKER_TASK = (fn, args)
+    _WORKER_TASK = (fn, corpus, args)
 
 
-def _run_worker(story: Story):
-    fn, args = _WORKER_TASK
-    return fn(story, *args)
+def _run_worker(index: int):
+    fn, corpus, args = _WORKER_TASK
+    return fn(corpus[index], *args)
 
 
 def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
@@ -189,8 +189,12 @@ def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
 
     Stories go to worker processes in chunks of four, over at most `jobs`
     workers and never more than there are chunks; when that leaves one
-    worker, the stories run in this process. Workers receive `fn` and
-    `args` once, at start-up.
+    worker, the stories run in this process. Workers receive `fn`, the
+    corpus and `args` once, at start-up, and each task is a story's index
+    into the corpus. Under the fork start method the workers inherit the
+    corpus, so no story is pickled and no text gains the UTF-8 copy that
+    CPython caches in a str pickled with characters above U+00FF. Under
+    spawn or forkserver the corpus is pickled once per worker at start-up.
     """
     chunk = 4
     workers = min(jobs, -(-len(corpus) // chunk))
@@ -198,9 +202,9 @@ def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(fn, args),
+            initargs=(fn, corpus, args),
         ) as pool:
-            return list(pool.map(_run_worker, corpus, chunksize=chunk))
+            return list(pool.map(_run_worker, range(len(corpus)), chunksize=chunk))
     return [fn(story, *args) for story in corpus]
 
 

@@ -1175,6 +1175,45 @@ def test_analyze_parallel_matches_serial_bytes(tmp_path, lexicon_path, small_cor
     assert payloads[0] == payloads[1]
 
 
+def test_non_ascii_texts_same_bytes_and_stderr_at_any_jobs(tmp_path, lexicon_path):
+    # é alone keeps a text one byte a character; ’ “ ” U+2028 and CJK make
+    # it two; an astral letter makes it four
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    marks = ["é", "’ “quoth” \u2028物語", "𝒜", "é’ “ ” \u2028 物語 𝒜"]
+    for i in range(8):
+        words = fgn_token_text(0.45 + 0.05 * i, 1024, seed=40 + i).split()
+        words[100::97] = [f"{w}{marks[i % 4]}" for w in words[100::97]]
+        write_story(corpus, f"tale{i}", " ".join(words))
+    write_story(corpus, "stub", "“é’s物語𝒜”\u2028")  # one token: named on stderr
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text(
+        "id,title,avg_rating,n_ratings\n"
+        + "".join(f"tale{i},Conte “{i}” é,{3 + i / 8},{10 + i}\n" for i in range(8)),
+        encoding="utf-8",
+    )
+    runs = []
+    for jobs in ("1", "2"):
+        out_dir, tree = tmp_path / f"analyze{jobs}", tmp_path / f"tree{jobs}.csv"
+        commands = [
+            ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+             "--ratings", str(ratings), "--out", str(out_dir), "--jobs", jobs],
+            ["cluster", "--corpus", str(corpus), "--lexicon", str(lexicon_path), "--k", "3",
+             "--tree-out", str(tree), "--jobs", jobs],
+        ]
+        streams = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sentarc", *argv], capture_output=True, env=package_env()
+            )
+            assert proc.returncode == 0, proc.stderr
+            streams.append((proc.stdout, proc.stderr))
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        runs.append((streams, files, tree.read_bytes()))
+    assert b"stub" in runs[0][0][1][1]
+    assert runs[0] == runs[1]
+
+
 # ------------------------------------------------------------------ inputs
 
 

@@ -1,4 +1,7 @@
+import multiprocessing
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,7 +25,13 @@ from sentarc import (
     load_id_mapping,
     load_ratings,
 )
-from conftest import GRADED_WORDS, fgn_token_text, write_story
+from conftest import (
+    GRADED_WORDS,
+    fgn_token_text,
+    package_env,
+    write_graded_lexicon_file,
+    write_story,
+)
 from sentarc import corpus as corpus_mod
 from sentarc.corpus import Story
 from sentarc.lexicon import Lexicon
@@ -383,6 +392,64 @@ def test_build_arcs_same_at_any_jobs(tmp_path, graded_lex):
             assert (a.story_id, a.n_tokens, a.coverage) == (b.story_id, b.n_tokens, b.coverage)
             assert a.raw.tobytes() == b.raw.tobytes()
             assert a.smooth.tobytes() == b.smooth.tobytes()
+
+
+def _curly_corpus(n_stories):
+    """Stories whose texts hold U+2019, so CPython stores them two bytes a
+    character and pickling one would cache a UTF-8 copy inside it."""
+    return [
+        Story(id=f"s{i}", title=f"Tale {i}",
+              text=fgn_token_text(0.5 + 0.05 * i, 512, seed=i).replace(" ", "’ "))
+        for i in range(n_stories)
+    ]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers inherit the corpus only under fork"
+)
+def test_pool_pickles_no_story_under_fork(monkeypatch, graded_lex):
+    corpus = _curly_corpus(8)
+    sizes = [sys.getsizeof(s.text) for s in corpus]
+
+    def refuse(self, protocol):
+        raise AssertionError(f"story {self.id} pickled")
+
+    monkeypatch.setattr(Story, "__reduce_ex__", refuse)
+    records = analyze_corpus(corpus, graded_lex, jobs=2)
+    arcs = build_arcs(corpus, graded_lex, 0.05, jobs=2)
+    assert [r.id for r in records] == [a.story_id for a in arcs] == [s.id for s in corpus]
+    assert [sys.getsizeof(s.text) for s in corpus] == sizes
+
+
+_SPAWNED_POOL = """
+import multiprocessing, sys
+from sentarc import analyze_corpus, build_arcs, load_corpus, load_lexicon
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    corpus, lexicon = load_corpus(sys.argv[1]), load_lexicon(sys.argv[2])
+    assert analyze_corpus(corpus, lexicon, jobs=2) == analyze_corpus(corpus, lexicon, jobs=1)
+    parallel, serial = (build_arcs(corpus, lexicon, 0.05, jobs=jobs) for jobs in (2, 1))
+    for a, b in zip(parallel, serial, strict=True):
+        assert (a.story_id, a.n_tokens, a.coverage) == (b.story_id, b.n_tokens, b.coverage)
+        assert a.raw.tobytes() == b.raw.tobytes()
+        assert a.smooth.tobytes() == b.smooth.tobytes()
+"""
+
+
+def test_pool_same_results_under_spawn(tmp_path):
+    # spawn stands in for forkserver, Python 3.14's default on Linux: each
+    # worker unpickles the corpus instead of inheriting it
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for story in _curly_corpus(8):
+        write_story(corpus, story.id, story.text)
+    lexicon = write_graded_lexicon_file(tmp_path / "lexicon.tsv")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWNED_POOL, str(corpus), str(lexicon)],
+        capture_output=True, text=True, env=package_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @st.composite
