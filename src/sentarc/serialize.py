@@ -24,8 +24,6 @@ from .stats import CorrelationReport
 
 # values per formatting call in write_series_csv
 _SERIES_CHUNK = 16384
-# rows per write in _write_csv
-_CSV_CHUNK = 1024
 # a str cell holding one of these is quoted
 _NEEDS_QUOTES = re.compile(r'[,"\r\n\0]').search
 
@@ -60,13 +58,12 @@ def _cell(value) -> str:
 def _write_csv(out: IO[str], header: list[str], rows: Iterable[Iterable]) -> None:
     """One CSV table: the header, then each row's cells through `_cell`.
 
-    Cells are joined by "," and rows end in "\n"; rows are written a chunk
-    at a time. Each row is joined as it is drawn, because a caller may pass
-    generators that read its own loop variable.
+    Cells are joined by "," and rows end in "\n". Each row is joined as it
+    is drawn, because a caller may pass generators that read its own loop
+    variable. `out` needs only `write`.
     """
-    lines = (",".join(map(_cell, row)) + "\n" for row in itertools.chain([header], rows))
-    while chunk := "".join(itertools.islice(lines, _CSV_CHUNK)):
-        out.write(chunk)
+    for row in itertools.chain([header], rows):
+        out.write(",".join(map(_cell, row)) + "\n")
 
 
 def write_arc_csv(arc: SentimentArc, out: IO[str]) -> None:

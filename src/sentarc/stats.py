@@ -34,7 +34,7 @@ class CorrelationReport:
     distance_corr_p: float | None = None
 
 
-def _validated_pair(x, y, min_n: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def _validated_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x and y as float arrays, each brought into the band of
     `scale_extreme_peak`: every statistic here is invariant under a positive
     scale factor on either input, so any finite magnitude gives the same
@@ -45,8 +45,8 @@ def _validated_pair(x, y, min_n: int = 3) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("inputs must be one-dimensional")
     if xa.size != ya.size:
         raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
-    if xa.size < min_n:
-        raise ValueError(f"need at least {min_n} observations, got {xa.size}")
+    if xa.size < 3:
+        raise ValueError(f"need at least 3 observations, got {xa.size}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise ValueError("inputs must be finite")
     return scale_extreme_peak(xa), scale_extreme_peak(ya)
@@ -274,14 +274,13 @@ def _centered_products(xa, x_center, ya, y_center, blocks) -> tuple[float, float
     return ab / n2, aa / n2, bb / n2
 
 
-def _dcor_kernel(x, y):
-    """The scale sqrt(dVar(x)·dVar(y)); a function of a permutation p (or
-    None for the identity) giving the clamped ratio mean(a·b_p)/scale,
-    whose square root is the distance correlation of x with y[p]; and the
-    centering of x and of y, each as `_distance_centering` returns it. a
-    and b_p are the doubly-centered distance matrices of x and y[p], b_p
-    being b permuted on rows and columns alike. All three are None when
-    either input has zero distance variance (a constant sequence).
+def _dcor_terms(xa: np.ndarray, ya: np.ndarray):
+    """(blocks, x_center, y_center, cross, scale) for a pair as
+    `_validated_pair` returns it: the row blocks; the centering of x and
+    of y, each as `_distance_centering` returns it; the cross term
+    mean(a·b) of the doubly-centered distance matrices a of x and b of y;
+    and the scale sqrt(dVar(x)·dVar(y)), 0.0 when either input has zero
+    distance variance (a constant sequence).
 
     Every mean of a product is a sum over row blocks of at most
     _DCOR_BLOCK_CELLS cells, divided by n²: O(n) memory beyond the blocks
@@ -289,36 +288,28 @@ def _dcor_kernel(x, y):
     statistic as that double sum). When n² fits in one block, the
     operations and so the bits are those of the whole n x n matrices.
     """
-    xa, ya = _validated_pair(x, y)
     blocks = _row_blocks(xa.size)
     x_center = _distance_centering(xa, blocks)
     y_center = _distance_centering(ya, blocks)
-
     cross, dvar_x, dvar_y = _centered_products(xa, x_center, ya, y_center, blocks)
-    if dvar_x == 0.0 or dvar_y == 0.0:
-        return None, None, None
-    scale = math.sqrt(dvar_x * dvar_y)
+    scale = math.sqrt(dvar_x * dvar_y) if dvar_x != 0.0 and dvar_y != 0.0 else 0.0
+    return blocks, x_center, y_center, cross, scale
 
-    def ratio(perm: np.ndarray | None = None) -> float:
-        num = cross
-        if perm is not None:
-            col, row, grand = y_center
-            permuted = (col[perm], row[perm], grand)
-            num = _centered_products(xa, x_center, ya[perm], permuted, blocks)[0]
-        return min(max(num / scale, 0.0), 1.0)
 
-    return scale, ratio, (x_center, y_center)
+def _clamped(num: float, scale: float) -> float:
+    """num / scale clamped to [0, 1]: a squared distance correlation."""
+    return min(max(num / scale, 0.0), 1.0)
 
 
 def distance_correlation(x, y) -> float:
     """Sample distance correlation from doubly-centered distance matrices,
-    accumulated over row blocks by the kernel of `_dcor_kernel`.
+    accumulated over row blocks as `_dcor_terms` describes.
 
     Lies in [0, 1]; returns 0 when either input has zero distance
     variance (a constant sequence).
     """
-    ratio = _dcor_kernel(x, y)[1]
-    return 0.0 if ratio is None else math.sqrt(ratio())
+    _, _, _, cross, scale = _dcor_terms(*_validated_pair(x, y))
+    return math.sqrt(_clamped(cross, scale)) if scale else 0.0
 
 
 def _permuted_dcov(xa: np.ndarray, ya: np.ndarray, x_center, y_center):
@@ -330,7 +321,7 @@ def _permuted_dcov(xa: np.ndarray, ya: np.ndarray, x_center, y_center):
     r_i and s_i and totals R and S,
         n²·mean(a·b) = Σ_ij |Δx||Δy| − (2/n)·Σ_i r_i s_i + R·S/n².
     The row sums and totals are n and n² times the row and grand means of
-    `x_center` and `y_center`, the centerings `_dcor_kernel` returns.
+    `x_center` and `y_center`, the centerings `_dcor_terms` returns.
     Only the first two terms change under p. In x order, Σ_i<j |Δx||Δy|
     is Σ_i<j Δx·Δy = n·Σxy − Σx·Σy less twice the sum of Δx·Δy over the
     pairs with y_i > y_j, which the merge of `_merge_levels` visits,
@@ -413,24 +404,27 @@ def distance_correlation_test(
     if permutations < 0:
         raise ValueError(f"permutations must be >= 0, got {permutations}")
     xa, ya = _validated_pair(x, y)
-    scale, ratio, centering = _dcor_kernel(xa, ya)
-    if ratio is None:
+    blocks, x_center, y_center, cross, scale = _dcor_terms(xa, ya)
+    if not scale:
         return 0.0, 1.0
     # Double centering commutes with a simultaneous row/column permutation,
     # and the distance variances are permutation-invariant, so only the
     # cross term changes per draw.
-    observed = math.sqrt(ratio())
+    observed = math.sqrt(_clamped(cross, scale))
     threshold = observed - _DCOR_TIE_RTOL * observed
     threshold_ratio = threshold * threshold
-    cross = _permuted_dcov(xa, ya, *centering)
+    permuted_cross = _permuted_dcov(xa, ya, x_center, y_center)
+    col, row, grand = y_center
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(permutations):
         perm = rng.permutation(xa.size)
-        num, size = cross(perm)
-        fast = min(max(num / scale, 0.0), 1.0)
+        num, size = permuted_cross(perm)
+        fast = _clamped(num, scale)
         if abs(fast - threshold_ratio) > _DCOR_MARGIN * size / scale:
             hits += int(fast > threshold_ratio)
-        elif math.sqrt(ratio(perm)) >= threshold:
-            hits += 1
+        else:
+            permuted = (col[perm], row[perm], grand)
+            num = _centered_products(xa, x_center, ya[perm], permuted, blocks)[0]
+            hits += int(math.sqrt(_clamped(num, scale)) >= threshold)
     return observed, (1.0 + hits) / (1.0 + permutations)

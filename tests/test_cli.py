@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,11 +7,16 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    GRADED_WORDS,
     fgn_token_text,
     package_env,
     write_graded_lexicon_file,
@@ -20,8 +26,9 @@ from conftest import (
 from sentarc import SynthSpec, estimate_hurst, fgn
 from sentarc import corpus as corpus_mod
 from sentarc import serialize
-from sentarc.cli import _open_out, _read_series, main
+from sentarc.cli import _open_out, _read_series, build_parser, main
 from sentarc.errors import SentarcError
+from sentarc.lexicon import load_lexicon
 
 
 def run_cli(argv, capsys):
@@ -840,6 +847,21 @@ def test_zero_dcor_permutations_means_off(tmp_path, capsys):
     assert json.loads(out)[0]["distance_corr_p"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--corpus", "c", "--lexicon", "l", "--ratings", "r", "--out", "o"],
+        ["correlate", "--results", "r"],
+    ],
+    ids=["analyze", "correlate"],
+)
+def test_bare_dcor_permutations_means_9999_draws(argv):
+    parse = build_parser().parse_args
+    assert parse(argv + ["--dcor-permutations"]).dcor_permutations == 9999
+    assert parse(argv + ["--dcor-permutations", "--seed", "3"]).dcor_permutations == 9999
+    assert parse(argv).dcor_permutations is None
+
+
 def test_correlate_from_results(tmp_path, lexicon_path, small_corpus, capsys):
     corpus, ratings = small_corpus
     out_dir = tmp_path / "out"
@@ -993,6 +1015,116 @@ def test_analyze_writes_nothing_when_a_report_fails(
     assert code == 1
     assert "error: report failed" in err
     assert not out_dir.exists()
+
+
+def _quoted(cell) -> str:
+    return '"' + cell.replace('"', '""') + '"' if isinstance(cell, str) else str(cell)
+
+
+@st.composite
+def adversarial_studies(draw):
+    """Files of a small study: {name: text} for the corpus, the lexicon
+    text and the ratings text. Stems hold commas, quotes, spaces, CR, LF
+    and non-ASCII letters; texts CRLF, digits, ' and U+2019; the lexicon
+    maybe a header, a duplicate, rejected lines and a BOM; the ratings
+    quoted ids and titles, duplicate ids, out-of-range rows and maybe an
+    unparsable one, which `analyze` must reject."""
+    letters = st.sampled_from(list('ab, "\r\n') + ["é", "ß", "ж", "語"])
+    stem = st.text(letters, min_size=1, max_size=8)
+    size = draw(st.sampled_from([6, 5, 4, 6, 5, 3, 2, 1, 0]))  # weighted toward a study
+    stems = draw(st.lists(stem, min_size=size, max_size=size, unique=True))
+    corpus, rows = {}, []
+    valid = st.tuples(
+        st.sampled_from([3.7, 4.2, 2.5, 1.0, 5.0]), st.sampled_from([45, 200, 31, 10])
+    )
+    faults = ["duplicate", "unrated", "out of range", "too short", "no words", "degenerate"]
+    for stem in stems:
+        kind = draw(st.sampled_from(["rated"] * 6 + faults))  # weighted toward a usable row
+        n = {"too short": 40, "no words": 0}.get(kind, draw(st.sampled_from([400, 150])))
+        if kind == "degenerate":
+            words = ["gbw"] * n  # one valence
+        else:
+            words = fgn_token_text(0.6, 512, draw(st.integers(0, 99))).split()[:n]
+        sep = draw(st.sampled_from([" ", "\r\n", " 1999 ", " o'er ", " it’s "]))
+        corpus[f"{stem}.txt"] = sep.join(words + ["42", "o'er", "it’s"])
+        if kind != "unrated":
+            rows.append([stem, f"{stem}, “the” tale", *draw(valid)])
+        if kind == "duplicate":
+            rows.append([stem, "again", *draw(valid)])
+        elif kind == "out of range":
+            rows[-1][2:] = draw(st.sampled_from([(0.5, 40), (6.0, 40), (3.0, -1)]))
+    if draw(st.integers(0, 4)) == 4:
+        rows.append(["garbled", "G", "n/a", 5])
+    ratings = "id,title,avg_rating,n_ratings\n"
+    ratings += "".join(",".join(map(_quoted, row)) + "\n" for row in rows)
+
+    lexicon = ["word\tvalence"] if draw(st.booleans()) else []
+    lexicon += [f"{word}\t{value!r}" for word, value in GRADED_WORDS.items()]
+    if draw(st.booleans()):
+        lexicon.append("gbw\t0.25")  # a duplicate
+    if draw(st.booleans()):
+        lexicon += ["gzz\t1.5", "no valence here"]  # rejected
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return corpus, bom + "\n".join(lexicon) + "\n", ratings
+
+
+def _main_captured(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    study=adversarial_studies(),
+    seed=st.integers(0, 9),
+    draws=st.sampled_from([[], ["--dcor-permutations", "19"]]),
+)
+def test_analyze_round_trips_adversarial_inputs(study, seed, draws):
+    texts, lexicon_text, ratings_text = study
+    flags = ["--min-ratings", "0", "--min-ratings", "30", "--seed", str(seed), *draws]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus, lexicon, ratings = tmp / "corpus", tmp / "lexicon.tsv", tmp / "ratings.csv"
+        corpus.mkdir()
+        for name, text in texts.items():
+            (corpus / name).write_bytes(text.encode("utf-8"))
+        lexicon.write_bytes(lexicon_text.encode("utf-8"))
+        ratings.write_bytes(ratings_text.encode("utf-8"))
+        out_dir = tmp / "out"
+        code, err = _main_captured([
+            "analyze", "--corpus", str(corpus), "--lexicon", str(lexicon),
+            "--ratings", str(ratings), "--out", str(out_dir), "--jobs", "1", *flags,
+        ])
+        assert code in (0, 1), err
+        if code == 1:
+            assert err.startswith("error:") and err.count("error:") == 1
+            assert not out_dir.exists()
+            return
+
+        results = out_dir / "results.csv"
+        records = corpus_mod.analyze_corpus(
+            corpus_mod.load_corpus(corpus), load_lexicon(lexicon),
+            ratings=corpus_mod.load_ratings(ratings), jobs=1,
+        )
+        text = results.read_bytes().decode("utf-8")
+        read_back = serialize.read_results_csv(text, str(results))
+        assert read_back == records  # ids, statuses and every cell
+
+        reports = json.loads((out_dir / "report.json").read_text())
+        missing = [t for t in (0, 30) if t not in [r["min_ratings_filter"] for r in reports]]
+        report = tmp / "report.json"
+        code, err = _main_captured(
+            ["correlate", "--results", str(results), "--out", str(report), *flags]
+        )
+        if missing:
+            assert code == 1
+            assert err.startswith(f"error: threshold {missing[0]}:")
+            assert not report.exists()
+        else:
+            assert (code, err) == (0, "")
+            assert report.read_bytes() == (out_dir / "report.json").read_bytes()
 
 
 # ----------------------------------------------------------------- cluster

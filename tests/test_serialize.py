@@ -23,7 +23,7 @@ from sentarc.serialize import (
     write_scatter_csv,
     write_series_csv,
 )
-from sentarc.serialize import _CSV_CHUNK, _SERIES_CHUNK, _cell, _opt, _write_csv
+from sentarc.serialize import _SERIES_CHUNK, _cell, _opt, _write_csv
 
 
 def make_report(**overrides):
@@ -301,13 +301,32 @@ def test_write_csv_matches_reference_dialect(table):
         assert written_csv(header, rows) == reference_csv(header, rows)
 
 
-@pytest.mark.parametrize("length", [_CSV_CHUNK - 1, _CSV_CHUNK, 2 * _CSV_CHUNK + 5])
+@pytest.mark.parametrize("length", [1023, 1024, 2053])
 def test_write_csv_chunk_boundaries(length):
     rows = [(i, i / 7, f"t{i}" + ",\r\n"[i % 3]) for i in range(length)]
     text = written_csv(["a", "b", "c"], rows)
     assert text == reference_csv(["a", "b", "c"], rows)
     parsed = list(csv.reader(io.StringIO(text, newline="")))
     assert [row[2] for row in parsed[1:]] == [row[2] for row in rows]
+
+
+class WriteOnlySink:
+    """A text sink with `write` alone, like the byte-counting proxy the
+    benchmark's tracer passes to every writer."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+
+def test_writers_need_only_write():
+    sink = WriteOnlySink()
+    _write_csv(sink, ["a", "b"], [(1, "x,y"), (2.5, None)])
+    write_series_csv([0.5, 2.0], sink)
+    assert "".join(sink.parts) == 'a,b\n1,"x,y"\n2.5,\n0.5\n2\n'
 
 
 def test_scatter_skips_incomplete_records():

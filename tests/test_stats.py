@@ -392,7 +392,7 @@ def test_fast_cross_term_matches_oracle():
             x[4] = x[5]
             y[:3] = [round(v) for v in y[:3]]
         xa, ya = np.array(x), np.array(y)
-        cross = _permuted_dcov(xa, ya, *stats_mod._dcor_kernel(xa, ya)[2])
+        cross = _permuted_dcov(xa, ya, *stats_mod._dcor_terms(xa, ya)[1:3])
         for _ in range(3):
             perm = rng.permutation(len(x))
             dcov2, dvx, dvy = dcov_oracle(x, [y[i] for i in perm])
