@@ -39,7 +39,6 @@ class SentimentArc:
 class WindowSummary:
     """Non-overlapping window means and population standard deviations."""
 
-    window_size: int
     means: np.ndarray
     stds: np.ndarray
 
@@ -92,7 +91,7 @@ def window_summary(arc: SentimentArc, window_size: int = 30) -> WindowSummary:
     if full < arc.n_tokens:
         tail = arc.raw[full:]
         means, stds = np.append(means, tail.mean()), np.append(stds, tail.std())
-    return WindowSummary(window_size=window_size, means=means, stds=stds)
+    return WindowSummary(means=means, stds=stds)
 
 
 def smooth(arc: SentimentArc, fraction: float = 0.05) -> SentimentArc:
@@ -140,17 +139,17 @@ def arc_from_text(
 RESAMPLE_POINTS = 100
 
 
-def _cluster_shape(arc: SentimentArc, n_points: int = RESAMPLE_POINTS) -> np.ndarray:
+def _cluster_shape(arc: SentimentArc) -> np.ndarray:
     """Smoothed arc resampled to a fixed length and z-normalized."""
     if arc.n_tokens < 2:
         raise ValueError(f"arc {arc.story_id!r} too short to resample ({arc.n_tokens} tokens)")
-    grid = np.linspace(0.0, arc.n_tokens - 1, n_points)
+    grid = np.linspace(0.0, arc.n_tokens - 1, RESAMPLE_POINTS)
     resampled = np.interp(grid, np.arange(arc.n_tokens), arc.smooth)
     sd = resampled.std()
     # rounding in the mean leaves most constant arcs a tiny nonzero std,
     # which would blow them up to a +-1 shape, so test constancy exactly
     if sd == 0.0 or (resampled == resampled[0]).all():
-        return np.zeros(n_points)
+        return np.zeros(RESAMPLE_POINTS)
     return (resampled - resampled.mean()) / sd
 
 

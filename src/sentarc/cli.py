@@ -8,22 +8,20 @@ existing results table), `cluster` (group arc shapes), and `synth`
 
 Exit codes: 0 success, 1 user error (bad arguments or input files),
 2 internal error. Diagnostics go to stderr; data goes to files or stdout.
-`-` names stdin for an input file and stdout for an output file.
+`-` names stdin for an input file and stdout for an output file; a
+directory argument cannot be `-`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import logging
 import os
 import stat
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import arc as arc_mod
@@ -45,42 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_series(path: str) -> np.ndarray:
-    """One-column numeric series; an optional non-numeric first line is a header.
-
-    Each line must hold exactly one number, so a multi-column CSV is an
-    error rather than silently read by its first column. Blank lines are
-    skipped. The values go straight into a float64 array, never a list of
-    Python floats.
-    """
-    lines = inputs.lines(inputs.read_text(path, SentarcError))
-    # bulk path: every line is a number, or every line but a first-line
-    # header; anything else goes through the loop, which names the bad line
-    for skip in (0, 1):
-        try:
-            values = map(float, itertools.islice(lines, skip, None))
-            return np.fromiter(values, float, count=len(lines) - skip)
-        except ValueError:
-            pass
-    values = []
-    for lineno, line in enumerate(lines, start=1):
-        item = line.strip()
-        if not item:
-            continue
-        try:
-            values.append(float(item))
-        except ValueError:
-            if lineno == 1:
-                continue
-            raise SentarcError(
-                f"{path}:{lineno}: expected one numeric column, got {item!r}"
-            ) from None
-    return np.array(values, dtype=float)
-
-
 @contextlib.contextmanager
-def _open_out(path: str | os.PathLike | None):
-    """Text sink for an output path; None and `-` mean stdout.
+def _open_out(path: str | os.PathLike):
+    """Text sink for an output path; `-` means stdout.
 
     A new or regular file is written through a temporary file in its
     directory, renamed over it only when the body succeeds, with the mode
@@ -88,7 +53,7 @@ def _open_out(path: str | os.PathLike | None):
     regular files, such as /dev/null, /dev/stdout or a FIFO, are written in
     place.
     """
-    if path is None or path == "-":
+    if path == "-":
         yield sys.stdout
         return
     try:
@@ -143,6 +108,14 @@ def _path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
+
+
+def _directory(text: str) -> str:
+    """An argparse type for a directory: a `_path` other than `-`, since a
+    directory can be neither stdin nor stdout."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("a directory cannot be -")
+    return _path(text)
 
 
 def _add_order_flag(parser) -> None:
@@ -203,8 +176,7 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
 def _cmd_arc(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     text = inputs.read_text(args.story, SentarcError)
-    story_id = "stdin" if args.story == "-" else Path(args.story).stem
-    series = arc_mod.arc_from_text(text, lexicon, story_id, args.smooth_fraction)
+    series = arc_mod.arc_from_text(text, lexicon, smooth_fraction=args.smooth_fraction)
     with _open_out(args.out) as fh:
         serialize.write_arc_csv(series, fh)
     if args.windows_out:
@@ -220,16 +192,13 @@ def _cmd_hurst(args) -> int:
     if args.story is not None:
         if not args.lexicon:
             raise SentarcError("a story input requires --lexicon")
-        values = arc_mod.arc_from_text(
-            inputs.read_text(args.story, SentarcError),
-            load_lexicon(args.lexicon),
-            Path(args.story).stem,
-        ).raw
+        text = inputs.read_text(args.story, SentarcError)
+        values = arc_mod.arc_from_text(text, load_lexicon(args.lexicon)).raw
     else:
-        values = _read_series(args.series)
+        values = serialize.read_series(inputs.read_text(args.series, SentarcError), args.series)
     result = estimate_hurst(values, args.order)
     with _open_out(args.out) as fh:
-        fh.write(serialize.hurst_json(result) + "\n")
+        fh.write(serialize.hurst_json(result))
     if args.points_out:
         with _open_out(args.points_out) as fh:
             serialize.write_points_csv(result, fh)
@@ -403,14 +372,14 @@ def build_parser() -> _Parser:
             f"{corpus_mod.SWEET_SPOT_HIGH}), status (ok when hurst is given, "
             f"too_short when n_tokens < {MIN_SERIES_LENGTH}, degenerate "
             "otherwise); report.json, an array with one correlation report "
-            "per --min-ratings threshold (fields: min_ratings_filter, n, "
-            "pearson_r, pearson_p, spearman_rho, spearman_p, kendall_tau, "
-            "kendall_p, distance_corr, distance_corr_p); scatter.csv with "
-            "columns hurst, avg_rating, n_ratings, title; ratings_scatter.csv "
-            "with columns id, n_ratings, avg_rating."
+            f"per --min-ratings threshold (fields: {', '.join(serialize.REPORT_KEYS)}); "
+            "scatter.csv with columns hurst, avg_rating, n_ratings, title; "
+            "ratings_scatter.csv with columns id, n_ratings, avg_rating."
         ),
     )
-    p_analyze.add_argument("--corpus", type=_path, required=True, help="directory of *.txt stories")
+    p_analyze.add_argument(
+        "--corpus", type=_directory, required=True, help="directory of *.txt stories"
+    )
     p_analyze.add_argument(
         "--lexicon", type=_path, required=True, help="tab-separated valence lexicon"
     )
@@ -420,7 +389,7 @@ def build_parser() -> _Parser:
     p_analyze.add_argument(
         "--mapping", type=_path, metavar="PATH", help="CSV file_id,ratings_id join aliases"
     )
-    p_analyze.add_argument("--out", type=_path, required=True, help="output directory")
+    p_analyze.add_argument("--out", type=_directory, required=True, help="output directory")
     _add_correlation_flags(p_analyze, "0 and 30")
     _add_jobs_flag(p_analyze)
     _add_order_flag(p_analyze)
@@ -432,8 +401,7 @@ def build_parser() -> _Parser:
         description="Re-run the rating correlations on a results.csv produced by analyze.",
         epilog=(
             "Output: a JSON array with one report per --min-ratings threshold; "
-            "fields: min_ratings_filter, n, pearson_r, pearson_p, spearman_rho, "
-            "spearman_p, kendall_tau, kendall_p, distance_corr, distance_corr_p."
+            f"fields: {', '.join(serialize.REPORT_KEYS)}."
         ),
     )
     p_corr.add_argument("--results", type=_path, required=True, help="results.csv from analyze")
@@ -454,7 +422,9 @@ def build_parser() -> _Parser:
             "height (merge distance), size (merged cluster size)."
         ),
     )
-    p_cluster.add_argument("--corpus", type=_path, required=True, help="directory of *.txt stories")
+    p_cluster.add_argument(
+        "--corpus", type=_directory, required=True, help="directory of *.txt stories"
+    )
     p_cluster.add_argument(
         "--lexicon", type=_path, required=True, help="tab-separated valence lexicon"
     )

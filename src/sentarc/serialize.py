@@ -1,4 +1,5 @@
-"""Writers for the tool's file formats, and the reader of results.csv.
+"""Every file format the tool writes: its writers, and the readers of the
+numeric series and of results.csv.
 
 All numbers are serialized with 17 significant digits so repeated runs and
 golden files compare byte for byte; any rounding happens only at display
@@ -7,6 +8,7 @@ boundaries elsewhere.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import re
@@ -18,7 +20,7 @@ from .afa import MIN_SERIES_LENGTH, AfaResult
 from .arc import Merge, SentimentArc, WindowSummary
 from .corpus import STATUS_DEGENERATE, STATUS_OK, STATUS_TOO_SHORT, StoryRecord
 from .errors import SentarcError
-from .inputs import read_csv_table
+from .inputs import lines, read_csv_table
 from .stats import CorrelationReport
 
 
@@ -88,6 +90,32 @@ def write_series_csv(values: Sequence[float] | np.ndarray, out: IO[str]) -> None
         out.write(("%.17g\n" * len(chunk)) % tuple(chunk))
 
 
+def read_series(text: str, path: str) -> np.ndarray:
+    """One number per line, as `write_series_csv` writes it, into a float64
+    array; `path` labels the errors.
+
+    Blank lines and a non-numeric first line, a header, are skipped. Any
+    other line, a multi-column CSV row included, raises SentarcError as
+    "PATH:LINE: expected one numeric column, got 'X'".
+    """
+    rows = lines(text)
+    del text  # the last reference to a caller's temporary: freed before the array grows
+
+    def values():
+        for number, line in enumerate(rows, start=1):
+            # strip() also drops U+001C..U+001F, which float() rejects
+            item = line.strip()
+            try:
+                yield float(item)
+            except ValueError:
+                if item and number > 1:
+                    raise SentarcError(
+                        f"{path}:{number}: expected one numeric column, got {item!r}"
+                    ) from None
+
+    return np.fromiter(values(), float)
+
+
 def write_points_csv(result: AfaResult, out: IO[str]) -> None:
     _write_csv(out, ["log2_w", "log2_F"], result.points)
 
@@ -100,15 +128,15 @@ def _json_object(obj, keys: Iterable[str]) -> str:
 
 
 def hurst_json(result: AfaResult) -> str:
-    return _json_object(result, ("hurst", "intercept", "r_squared", "n_points"))
+    return _json_object(result, ("hurst", "intercept", "r_squared", "n_points")) + "\n"
+
+
+# report.json keys, in CorrelationReport's field order
+REPORT_KEYS = tuple(field.name for field in dataclasses.fields(CorrelationReport))
 
 
 def report_json(report: CorrelationReport) -> str:
-    keys = (
-        "min_ratings_filter", "n", "pearson_r", "pearson_p", "spearman_rho",
-        "spearman_p", "kendall_tau", "kendall_p", "distance_corr", "distance_corr_p",
-    )
-    return _json_object(report, keys)
+    return _json_object(report, REPORT_KEYS)
 
 
 def reports_json(reports: list[CorrelationReport]) -> str:

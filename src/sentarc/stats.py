@@ -22,8 +22,8 @@ from .afa import scale_extreme_peak
 class CorrelationReport:
     """The four statistics over one filtered record set."""
 
-    n: int
     min_ratings_filter: int
+    n: int
     pearson_r: float
     pearson_p: float
     spearman_rho: float

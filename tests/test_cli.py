@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,8 +25,8 @@ from conftest import (
 )
 from sentarc import SynthSpec, estimate_hurst, fgn
 from sentarc import corpus as corpus_mod
-from sentarc import serialize
-from sentarc.cli import _open_out, _read_series, build_parser, main
+from sentarc import inputs, serialize
+from sentarc.cli import _open_out, build_parser, main
 from sentarc.errors import SentarcError
 from sentarc.lexicon import load_lexicon
 
@@ -248,8 +248,8 @@ def test_hurst_series_rejects_multi_column_csv(tmp_path, lexicon_path, capsys):
 
 
 def read_series_loop(path):
-    """The line-by-line reader `_read_series` falls back to, as the oracle
-    for its bulk path: values, header skipping and error text."""
+    """A plain line-by-line reader, as the oracle for `serialize.read_series`:
+    values, header skipping and error text."""
     values = []
     for lineno, line in enumerate(path.read_bytes().decode("utf-8").splitlines(), start=1):
         item = line.strip()
@@ -285,6 +285,10 @@ def read_series_loop(path):
         "value\n1\n1,2\n",
         "\nvalue\n1\n",
         "1\nvalue\n",
+        "1\r2\r3\r",
+        "  \nvalue\n1\n",
+        "1\n2\n\nfoo\n",
+        "1\n\x1c2\n",
     ],
 )
 def test_read_series_matches_line_loop(tmp_path, text):
@@ -294,12 +298,12 @@ def test_read_series_matches_line_loop(tmp_path, text):
         want = read_series_loop(path)
     except SentarcError as exc:
         with pytest.raises(SentarcError) as got:
-            _read_series(str(path))
+            serialize.read_series(inputs.read_text(str(path), SentarcError), str(path))
         assert str(got.value) == str(exc)
         pattern = rf"{re.escape(str(path))}:\d+: expected one numeric column, got '.*'"
         assert re.fullmatch(pattern, str(exc))
     else:
-        got = _read_series(str(path))
+        got = serialize.read_series(inputs.read_text(str(path), SentarcError), str(path))
         got, want = np.array(got, dtype=float), np.array(want, dtype=float)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -832,6 +836,29 @@ def test_empty_path_is_a_parse_error_naming_its_flag(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [("analyze", "--out"), ("analyze", "--corpus"), ("cluster", "--corpus")],
+)
+def test_dash_directory_is_a_parse_error_naming_its_flag(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command, flag
+):
+    # `-` means stdin or stdout, which no directory can be
+    corpus, ratings = small_corpus
+    monkeypatch.chdir(tmp_path)
+    paths = {"--corpus": str(corpus), "--lexicon": str(lexicon_path)}
+    if command == "analyze":
+        paths.update({"--ratings": str(ratings), "--out": "out"})
+    else:
+        paths["--k"] = "1"
+    paths[flag] = "-"
+    code, stdout, err = run_cli([command, *sum(paths.items(), ())], capsys)
+    assert (code, stdout) == (1, "")
+    assert f"argument {flag}: a directory cannot be -" in err
+    assert not (tmp_path / "-").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_dcor_permutations_means_off(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text(
@@ -1024,14 +1051,16 @@ def _quoted(cell) -> str:
 @st.composite
 def adversarial_studies(draw):
     """Files of a small study: {name: text} for the corpus, the lexicon
-    text and the ratings text. Stems hold commas, quotes, spaces, CR, LF
-    and non-ASCII letters; texts CRLF, digits, ' and U+2019; the lexicon
-    maybe a header, a duplicate, rejected lines and a BOM; the ratings
-    quoted ids and titles, duplicate ids, out-of-range rows and maybe an
-    unparsable one, which `analyze` must reject."""
+    text, the ratings text and the mapping text or None. Stems hold commas,
+    quotes, spaces, CR, LF and non-ASCII letters; texts CRLF, digits, ' and
+    U+2019; the lexicon maybe a header, a duplicate, rejected lines and a
+    BOM; the ratings quoted ids and titles, duplicate ids, out-of-range rows
+    and maybe an unparsable one, which `analyze` must reject; the mapping
+    quoted file ids, a repeated file id and ratings ids that match no
+    rating."""
     letters = st.sampled_from(list('ab, "\r\n') + ["é", "ß", "ж", "語"])
     stem = st.text(letters, min_size=1, max_size=8)
-    size = draw(st.sampled_from([6, 5, 4, 6, 5, 3, 2, 1, 0]))  # weighted toward a study
+    size = draw(st.sampled_from([8, 6, 7, 5, 4, 6, 5, 3, 2, 1, 0]))  # weighted toward a study
     stems = draw(st.lists(stem, min_size=size, max_size=size, unique=True))
     corpus, rows = {}, []
     valid = st.tuples(
@@ -1065,7 +1094,35 @@ def adversarial_studies(draw):
     if draw(st.booleans()):
         lexicon += ["gzz\t1.5", "no valence here"]  # rejected
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return corpus, bom + "\n".join(lexicon) + "\n", ratings
+
+    mapping = None
+    if stems and draw(st.booleans()):
+        target = st.sampled_from([*stems, "no such rating"])
+        file_ids = draw(st.lists(st.sampled_from(stems), min_size=1, max_size=4))
+        pairs = [[file_id, draw(target)] for file_id in file_ids]
+        pairs.append([file_ids[0], draw(target)])  # a repeated file id, rejected
+        pairs.append(['no, "such"\r story', "no such rating"])
+        mapping = "file_id,ratings_id\n"
+        mapping += "".join(",".join(map(_quoted, pair)) + "\n" for pair in pairs)
+    return corpus, bom + "\n".join(lexicon) + "\n", ratings, mapping
+
+
+def _study_for_two_jobs():
+    """A fixed study of 8 stories, two chunks of the story pool, in
+    `adversarial_studies`' form, so `--jobs 2` runs two workers."""
+    stems = ["a,b", 'a"b', "a\rb", "a\nb", "é b", "ß", 'ж,"', "語"]
+    corpus = {
+        f"{stem}.txt": fgn_token_text(0.6, 512, seed).replace(" ", " it’s ", 3)
+        for seed, stem in enumerate(stems)
+    }
+    valid = zip([3.7, 4.2, 2.5, 1.0, 5.0, 3.1], [45, 200, 31, 10, 99, 60])
+    rows = [[stem, f"{stem}, “the” tale", *pair] for stem, pair in zip(stems, valid)]
+    ratings = "id,title,avg_rating,n_ratings\n"
+    ratings += "".join(",".join(map(_quoted, row)) + "\n" for row in rows)
+    lexicon = "\n".join(f"{word}\t{value!r}" for word, value in GRADED_WORDS.items()) + "\n"
+    pairs = [[stems[6], stems[0]], [stems[7], "no such rating"], [stems[6], stems[1]]]
+    mapping = "file_id,ratings_id\n" + "".join(",".join(map(_quoted, p)) + "\n" for p in pairs)
+    return corpus, lexicon, ratings, mapping
 
 
 def _main_captured(argv) -> tuple[int, str]:
@@ -1080,9 +1137,12 @@ def _main_captured(argv) -> tuple[int, str]:
     study=adversarial_studies(),
     seed=st.integers(0, 9),
     draws=st.sampled_from([[], ["--dcor-permutations", "19"]]),
+    jobs=st.just(1),
 )
-def test_analyze_round_trips_adversarial_inputs(study, seed, draws):
-    texts, lexicon_text, ratings_text = study
+# the one example at --jobs 2, which must write the same four files as --jobs 1
+@example(study=_study_for_two_jobs(), seed=3, draws=["--dcor-permutations", "19"], jobs=2)
+def test_analyze_round_trips_adversarial_inputs(study, seed, draws, jobs):
+    texts, lexicon_text, ratings_text, mapping_text = study
     flags = ["--min-ratings", "0", "--min-ratings", "30", "--seed", str(seed), *draws]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -1092,21 +1152,38 @@ def test_analyze_round_trips_adversarial_inputs(study, seed, draws):
             (corpus / name).write_bytes(text.encode("utf-8"))
         lexicon.write_bytes(lexicon_text.encode("utf-8"))
         ratings.write_bytes(ratings_text.encode("utf-8"))
+        inputs_argv = [
+            "--corpus", str(corpus), "--lexicon", str(lexicon), "--ratings", str(ratings),
+        ]
+        mapping = None
+        if mapping_text is not None:
+            mapping = tmp / "mapping.csv"
+            mapping.write_bytes(mapping_text.encode("utf-8"))
+            inputs_argv += ["--mapping", str(mapping)]
         out_dir = tmp / "out"
-        code, err = _main_captured([
-            "analyze", "--corpus", str(corpus), "--lexicon", str(lexicon),
-            "--ratings", str(ratings), "--out", str(out_dir), "--jobs", "1", *flags,
-        ])
+        code, err = _main_captured(
+            ["analyze", *inputs_argv, "--out", str(out_dir), "--jobs", str(jobs), *flags]
+        )
         assert code in (0, 1), err
         if code == 1:
             assert err.startswith("error:") and err.count("error:") == 1
             assert not out_dir.exists()
             return
 
+        if jobs > 1:
+            serial = tmp / "serial"
+            code, err = _main_captured(
+                ["analyze", *inputs_argv, "--out", str(serial), "--jobs", "1", *flags]
+            )
+            assert code == 0, err
+            for name in ("results.csv", "scatter.csv", "ratings_scatter.csv", "report.json"):
+                assert (out_dir / name).read_bytes() == (serial / name).read_bytes(), name
+
         results = out_dir / "results.csv"
         records = corpus_mod.analyze_corpus(
             corpus_mod.load_corpus(corpus), load_lexicon(lexicon),
-            ratings=corpus_mod.load_ratings(ratings), jobs=1,
+            ratings=corpus_mod.load_ratings(ratings),
+            mapping=corpus_mod.load_id_mapping(mapping) if mapping else None, jobs=1,
         )
         text = results.read_bytes().decode("utf-8")
         read_back = serialize.read_results_csv(text, str(results))

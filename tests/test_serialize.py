@@ -51,7 +51,9 @@ def test_fmt_float_17_significant_digits():
 
 def test_hurst_json_shape():
     result = AfaResult(hurst=0.62, intercept=-1.5, r_squared=0.99, points=((2.0, 1.0),))
-    payload = json.loads(hurst_json(result))
+    text = hurst_json(result)
+    assert text.endswith("}\n")
+    payload = json.loads(text)
     assert payload == {
         "hurst": 0.62,
         "intercept": -1.5,
