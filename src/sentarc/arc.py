@@ -5,6 +5,7 @@ windowed summaries and agglomerative clustering of arc shapes.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -23,16 +24,18 @@ class SentimentArc:
     """Per-token valence series for one story.
 
     `raw` holds one valence per token in story order; `smooth` is the
-    moving-average trend of the same length (equal to `raw` until
+    moving-average trend of the same length (`raw` itself until
     :func:`smooth` is applied). `coverage` is the fraction of tokens found
     in the lexicon.
     """
 
-    story_id: str
     raw: np.ndarray
     smooth: np.ndarray
     coverage: float
-    n_tokens: int
+
+    @property
+    def n_tokens(self) -> int:
+        return self.raw.size
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def sentiment_series(tokens: list[str], lexicon: Lexicon, story_id: str = "") -> SentimentArc:
+def sentiment_series(tokens: list[str], lexicon: Lexicon) -> SentimentArc:
     """Map tokens to their valence values.
 
     Out-of-vocabulary tokens score NEUTRAL_VALENCE. Coverage is 0 for an
@@ -73,9 +76,7 @@ def sentiment_series(tokens: list[str], lexicon: Lexicon, story_id: str = "") ->
     misses = np.isnan(raw)
     raw[misses] = NEUTRAL_VALENCE
     coverage = (n - int(np.count_nonzero(misses))) / n if n else 0.0
-    return SentimentArc(
-        story_id=story_id, raw=raw, smooth=raw.copy(), coverage=coverage, n_tokens=n
-    )
+    return SentimentArc(raw=raw, smooth=raw, coverage=coverage)
 
 
 def window_summary(arc: SentimentArc, window_size: int = 30) -> WindowSummary:
@@ -123,14 +124,14 @@ def smooth(arc: SentimentArc, fraction: float = 0.05) -> SentimentArc:
 
 
 def arc_from_text(
-    text: str, lexicon: Lexicon, story_id: str = "", smooth_fraction: float | None = None
+    text: str, lexicon: Lexicon, smooth_fraction: float | None = None
 ) -> SentimentArc:
     """Tokenize `text` and score it into an arc.
 
     With `smooth_fraction` a non-empty arc is smoothed as by :func:`smooth`;
-    without it `smooth` equals `raw`.
+    without it `smooth` is `raw`.
     """
-    arc = sentiment_series(tokenize(text), lexicon, story_id=story_id)
+    arc = sentiment_series(tokenize(text), lexicon)
     if smooth_fraction is not None and arc.n_tokens >= 1:
         arc = smooth(arc, smooth_fraction)
     return arc
@@ -140,9 +141,7 @@ RESAMPLE_POINTS = 100
 
 
 def _cluster_shape(arc: SentimentArc) -> np.ndarray:
-    """Smoothed arc resampled to a fixed length and z-normalized."""
-    if arc.n_tokens < 2:
-        raise ValueError(f"arc {arc.story_id!r} too short to resample ({arc.n_tokens} tokens)")
+    """Smoothed arc of 2+ tokens, resampled to a fixed length and z-normalized."""
     grid = np.linspace(0.0, arc.n_tokens - 1, RESAMPLE_POINTS)
     resampled = np.interp(grid, np.arange(arc.n_tokens), arc.smooth)
     sd = resampled.std()
@@ -167,7 +166,7 @@ def _squared_distances(shapes: np.ndarray) -> np.ndarray:
     return d2
 
 
-def cluster_arcs(arcs: list[SentimentArc], k: int) -> tuple[dict[str, int], list[Merge]]:
+def cluster_arcs(arcs: Mapping[str, SentimentArc], k: int) -> tuple[dict[str, int], list[Merge]]:
     """Ward-linkage agglomerative clustering of arc shapes.
 
     Each smoothed arc is resampled to 100 points and z-normalized, so the
@@ -179,18 +178,19 @@ def cluster_arcs(arcs: list[SentimentArc], k: int) -> tuple[dict[str, int], list
     shape, equidistant from every z-normalized shape, so rounding alone
     never decides which arc it joins.
 
-    Returns a map story_id -> cluster index (clusters numbered 0..k-1 in
-    order of their smallest member id) and the full merge list.
+    `arcs` maps each story id to its arc; every arc needs at least 2
+    tokens. Returns a map story id -> cluster index (clusters numbered
+    0..k-1 in order of their smallest member id) and the full merge list.
     """
     m = len(arcs)
     if not 1 <= k <= m:
         raise ValueError(f"need |arcs| >= k >= 1, got {m} arcs and k={k}")
-    arcs = sorted(arcs, key=lambda a: a.story_id)
-    ids = [a.story_id for a in arcs]
-    if len(set(ids)) != m:
-        raise ValueError("duplicate story ids in clustering input")
+    ids = sorted(arcs)
+    for key in ids:
+        if (n := arcs[key].n_tokens) < 2:
+            raise ValueError(f"arc {key!r} too short to resample ({n} tokens)")
 
-    d2 = _squared_distances(np.array([_cluster_shape(a) for a in arcs]))
+    d2 = _squared_distances(np.array([_cluster_shape(arcs[key]) for key in ids]))
     np.fill_diagonal(d2, np.inf)
 
     # A merge keeps the lower slot, so slot i's smallest member is ids[i]

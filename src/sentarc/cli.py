@@ -164,6 +164,7 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
         type=_int_at_least(0),
         nargs="?",
         const=9999,
+        default=0,
         metavar="B",
         help="permutation p-value for the distance correlation from B >= 0 draws "
         "(default off, as is 0; 9999 draws when enabled bare)",
@@ -273,14 +274,13 @@ def _cmd_correlate(args) -> int:
 def _cmd_cluster(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     stories = corpus_mod.load_corpus(args.corpus)
-    arcs = []
-    for series in corpus_mod.build_arcs(stories, lexicon, args.smooth_fraction, args.jobs):
+    arcs = {}
+    built = corpus_mod.build_arcs(stories, lexicon, args.smooth_fraction, args.jobs)
+    for story, series in zip(stories, built, strict=True):
         if series.n_tokens < 2:
-            log.warning(
-                "%s: %d tokens, too short to cluster, skipped", series.story_id, series.n_tokens
-            )
+            log.warning("%s: %d tokens, too short to cluster, skipped", story.id, series.n_tokens)
             continue
-        arcs.append(series)
+        arcs[story.id] = series
     labels, merges = arc_mod.cluster_arcs(arcs, args.k)
     with _open_out(args.out) as fh:
         serialize.write_labels_csv(labels, fh)

@@ -157,7 +157,7 @@ def load_id_mapping(path) -> dict[str, str]:
 
 def _analyze_story(story: Story, lexicon: Lexicon, order: int) -> StoryRecord:
     """The story's record before the rating join."""
-    series = arc_mod.arc_from_text(story.text, lexicon, story.id)
+    series = arc_mod.arc_from_text(story.text, lexicon)
     hurst = r_squared = None
     try:
         result = estimate_hurst(series.raw, order)
@@ -209,7 +209,7 @@ def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
 
 
 def _story_arc(story: Story, lexicon: Lexicon, smooth_fraction: float | None):
-    return arc_mod.arc_from_text(story.text, lexicon, story.id, smooth_fraction)
+    return arc_mod.arc_from_text(story.text, lexicon, smooth_fraction)
 
 
 def build_arcs(
@@ -264,7 +264,7 @@ def analyze_corpus(
 def correlate(
     records: list[StoryRecord],
     min_ratings: int = 30,
-    dcor_permutations: int | None = None,
+    dcor_permutations: int = 0,
     seed: int = 0,
 ) -> CorrelationReport:
     """All four correlations between Hurst and average rating.
@@ -273,7 +273,7 @@ def correlate(
     `min_ratings` ratings; at least three must survive, and neither their
     exponents nor their ratings may all be equal. A permutation
     p-value for the distance correlation is computed only when
-    `dcor_permutations` is given.
+    `dcor_permutations` is positive.
     """
     kept = [
         r

@@ -96,10 +96,23 @@ def read_series(text: str, path: str) -> np.ndarray:
 
     Blank lines and a non-numeric first line, a header, are skipped. Any
     other line, a multi-column CSV row included, raises SentarcError as
-    "PATH:LINE: expected one numeric column, got 'X'".
+    "PATH:LINE: expected one numeric column, got 'X'", and a number that
+    is not finite as "PATH:LINE: non-finite value 'X'"; the first bad line
+    is the one named.
     """
     rows = lines(text)
     del text  # the last reference to a caller's temporary: freed before the array grows
+
+    def reject_non_finite(stop=None):
+        # only called once a bad value is known: no per-value check on the way in
+        for number, line in enumerate(itertools.islice(rows, stop), start=1):
+            item = line.strip()
+            try:
+                value = float(item)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                raise SentarcError(f"{path}:{number}: non-finite value {item!r}")
 
     def values():
         for number, line in enumerate(rows, start=1):
@@ -109,11 +122,15 @@ def read_series(text: str, path: str) -> np.ndarray:
                 yield float(item)
             except ValueError:
                 if item and number > 1:
+                    reject_non_finite(number - 1)
                     raise SentarcError(
                         f"{path}:{number}: expected one numeric column, got {item!r}"
                     ) from None
 
-    return np.fromiter(values(), float)
+    series = np.fromiter(values(), float)
+    if not np.isfinite(series).all():
+        reject_non_finite()
+    return series
 
 
 def write_points_csv(result: AfaResult, out: IO[str]) -> None:

@@ -142,7 +142,8 @@ def _merge_levels(rank: np.ndarray, plan: list[tuple[np.ndarray, ...]]):
     level over the keys block·(n + 1) + rank, which the left halves hold
     sorted, finds `below`; a stable argsort of the keys then merges each
     block, left elements before right ones of equal rank: O(n log n)
-    time per level, O(n log² n) in all, and O(n) memory.
+    time per level, O(n log² n) in all, and O(n) memory beyond `plan`,
+    which holds O(n) integers per level, O(n log n) in all.
     """
     order = np.arange(rank.size)
     for key_offset, left_pos, right_pos, end in plan:
@@ -325,10 +326,12 @@ def _permuted_dcov(xa: np.ndarray, ya: np.ndarray, x_center, y_center):
     Only the first two terms change under p. In x order, Σ_i<j |Δx||Δy|
     is Σ_i<j Δx·Δy = n·Σxy − Σx·Σy less twice the sum of Δx·Δy over the
     pairs with y_i > y_j, which the merge of `_merge_levels` visits,
-    with prefix sums of x, y and xy over each left half: O(n log² n) time and O(n) memory per
-    draw, the univariate fast dCov of Huo & Székely (2016, Technometrics
-    58:435). x and y are centered first, which leaves every distance as
-    it is and keeps the prefix sums of an offset series from cancelling.
+    with prefix sums of x, y and xy over each left half: O(n log² n) time
+    and O(n) memory per draw beyond the O(n log n) merge plan that every
+    draw shares, the univariate fast dCov of Huo & Székely (2016,
+    Technometrics 58:435). x and y are centered first, which leaves every
+    distance as it is and keeps the prefix sums of an offset series from
+    cancelling.
     """
     n = xa.size
     xc = xa - xa.mean()

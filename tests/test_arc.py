@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from sentarc import (
     Lexicon,
+    SentimentArc,
+    arc_from_text,
     cluster_arcs,
     sentiment_series,
     smooth,
@@ -18,15 +21,13 @@ from sentarc.arc import RESAMPLE_POINTS, _squared_distances
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def arc_from_values(values, story_id="s"):
+def arc_from_values(values):
     lex = Lexicon(entries={})
-    arc = sentiment_series(["x"] * len(values), lex, story_id=story_id)
+    arc = sentiment_series(["x"] * len(values), lex)
     return arc.__class__(
-        story_id=story_id,
         raw=np.asarray(values, dtype=float),
         smooth=np.asarray(values, dtype=float),
         coverage=arc.coverage,
-        n_tokens=len(values),
     )
 
 
@@ -285,43 +286,43 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def linear_arc(story_id, start, stop, jitter=0.0, n=120, seed=0):
+def linear_arc(start, stop, jitter=0.0, n=120, seed=0):
     rng = np.random.default_rng(seed)
     values = np.linspace(start, stop, n) + jitter * rng.uniform(-1, 1, n)
     values = np.clip(values, 0.0, 1.0)
-    return arc_from_values(values, story_id=story_id)
+    return arc_from_values(values)
 
 
 def test_identical_pair_clusters_together():
-    a1 = arc_from_values([0.1, 0.2, 0.3, 0.4], "a1")
-    a2 = arc_from_values([0.1, 0.2, 0.3, 0.4], "a2")
-    far = arc_from_values([0.9, 0.1, 0.9, 0.1], "zz")
-    labels, merges = cluster_arcs([a1, a2, far], 2)
+    a1 = arc_from_values([0.1, 0.2, 0.3, 0.4])
+    a2 = arc_from_values([0.1, 0.2, 0.3, 0.4])
+    far = arc_from_values([0.9, 0.1, 0.9, 0.1])
+    labels, merges = cluster_arcs({"a1": a1, "a2": a2, "zz": far}, 2)
     assert labels["a1"] == labels["a2"] != labels["zz"]
     assert merges[0].a == "a1" and merges[0].b == "a2"
     assert merges[0].height == 0.0
 
 
 def test_k_equals_arcs_no_merges():
-    arcs = [
-        arc_from_values([0.1, 0.5, 0.9], "a"),
-        arc_from_values([0.9, 0.5, 0.1], "b"),
-        arc_from_values([0.5, 0.1, 0.5], "c"),
-    ]
+    arcs = {
+        "a": arc_from_values([0.1, 0.5, 0.9]),
+        "b": arc_from_values([0.9, 0.5, 0.1]),
+        "c": arc_from_values([0.5, 0.1, 0.5]),
+    }
     labels, merges = cluster_arcs(arcs, 3)
     assert sorted(labels.values()) == [0, 1, 2]
     assert merges == []
 
 
 def test_rising_vs_falling_matches_oracle():
-    arcs = [
-        linear_arc("r1", 0.2, 0.8, jitter=0.02, seed=1),
-        linear_arc("r2", 0.3, 0.9, jitter=0.02, seed=2),
-        linear_arc("f1", 0.8, 0.2, jitter=0.02, seed=3),
-        linear_arc("f2", 0.9, 0.3, jitter=0.02, seed=4),
-    ]
-    for k in range(len(arcs)):
-        arcs[k] = smooth(arcs[k], 0.05)
+    arcs = {
+        "r1": linear_arc(0.2, 0.8, jitter=0.02, seed=1),
+        "r2": linear_arc(0.3, 0.9, jitter=0.02, seed=2),
+        "f1": linear_arc(0.8, 0.2, jitter=0.02, seed=3),
+        "f2": linear_arc(0.9, 0.3, jitter=0.02, seed=4),
+    }
+    for key in arcs:
+        arcs[key] = smooth(arcs[key], 0.05)
     labels, _ = cluster_arcs(arcs, 2)
     assert labels["r1"] == labels["r2"]
     assert labels["f1"] == labels["f2"]
@@ -329,21 +330,21 @@ def test_rising_vs_falling_matches_oracle():
 
     from sentarc.arc import _cluster_shape
 
-    shapes = [_cluster_shape(a) for a in arcs]
-    oracle = ward_oracle(shapes, [a.story_id for a in arcs], 2)
+    shapes = [_cluster_shape(a) for a in arcs.values()]
+    oracle = ward_oracle(shapes, list(arcs), 2)
     assert labels == oracle
 
 
 def test_cluster_matches_oracle_on_random_arcs():
     rng = np.random.default_rng(42)
-    arcs = []
+    arcs = {}
     for i in range(9):
         values = np.clip(0.5 + 0.2 * np.cumsum(rng.normal(size=60)) / 8, 0, 1)
-        arcs.append(smooth(arc_from_values(values, f"s{i:02d}"), 0.1))
+        arcs[f"s{i:02d}"] = smooth(arc_from_values(values), 0.1)
     from sentarc.arc import _cluster_shape
 
-    shapes = [_cluster_shape(a) for a in arcs]
-    ids = [a.story_id for a in arcs]
+    shapes = [_cluster_shape(a) for a in arcs.values()]
+    ids = list(arcs)
     for k in (1, 2, 3, 5, 9):
         labels, _ = cluster_arcs(arcs, k)
         assert labels == ward_oracle(shapes, ids, k)
@@ -351,28 +352,52 @@ def test_cluster_matches_oracle_on_random_arcs():
 
 
 def test_cluster_invariant_under_affine_rescale_of_one_arc():
-    base = [
-        linear_arc("a", 0.2, 0.8, jitter=0.03, seed=7),
-        linear_arc("b", 0.25, 0.75, jitter=0.03, seed=8),
-        linear_arc("c", 0.8, 0.2, jitter=0.03, seed=9),
-        linear_arc("d", 0.75, 0.25, jitter=0.03, seed=10),
-    ]
+    base = {
+        "a": linear_arc(0.2, 0.8, jitter=0.03, seed=7),
+        "b": linear_arc(0.25, 0.75, jitter=0.03, seed=8),
+        "c": linear_arc(0.8, 0.2, jitter=0.03, seed=9),
+        "d": linear_arc(0.75, 0.25, jitter=0.03, seed=10),
+    }
     labels_before, _ = cluster_arcs(base, 2)
-    rescaled = base[:]
-    scaled_values = 0.25 + 0.5 * base[0].smooth  # positive affine, stays in [0,1]
-    rescaled[0] = arc_from_values(scaled_values, "a")
+    rescaled = dict(base)
+    scaled_values = 0.25 + 0.5 * base["a"].smooth  # positive affine, stays in [0,1]
+    rescaled["a"] = arc_from_values(scaled_values)
     labels_after, _ = cluster_arcs(rescaled, 2)
     assert labels_before == labels_after
 
 
 def test_cluster_rejects_more_clusters_than_arcs():
     with pytest.raises(ValueError):
-        cluster_arcs([arc_from_values([0.1, 0.2], "a")], 2)
+        cluster_arcs({"a": arc_from_values([0.1, 0.2])}, 2)
 
 
 def test_cluster_rejects_single_token_arc():
-    with pytest.raises(ValueError):
-        cluster_arcs([arc_from_values([0.1], "a"), arc_from_values([0.2, 0.3], "b")], 1)
+    arcs = {"b": arc_from_values([0.2, 0.3]), "tale_07": arc_from_values([0.1])}
+    with pytest.raises(ValueError, match=r"^arc 'tale_07' too short to resample \(1 tokens\)$"):
+        cluster_arcs(arcs, 1)
+
+
+def test_arcs_from_text_cluster_under_the_callers_ids():
+    lex = Lexicon(entries={"good": 0.9, "bad": 0.1, "calm": 0.5})
+    texts = {
+        "rise": "bad bad calm good good",
+        "fall": "good good calm bad bad",
+        "rise2": "bad calm calm good good",
+    }
+    arcs = {key: arc_from_text(text, lex, 0.05) for key, text in texts.items()}
+    labels, merges = cluster_arcs(arcs, 2)
+    assert labels == {"fall": 0, "rise": 1, "rise2": 1}
+    assert [(m.a, m.b, m.size) for m in merges] == [("rise", "rise2", 2)]
+
+
+def test_arc_holds_only_its_series():
+    assert [f.name for f in dataclasses.fields(SentimentArc)] == ["raw", "smooth", "coverage"]
+    arc = arc_from_text("good bad calm", Lexicon(entries={"good": 0.9}))
+    assert np.shares_memory(arc.raw, arc.smooth)
+    assert arc.n_tokens == arc.raw.size == 3
+    smoothed = smooth(arc, 0.5)
+    assert not np.shares_memory(smoothed.raw, smoothed.smooth)
+    assert smoothed.raw is arc.raw
 
 
 @pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
@@ -412,8 +437,8 @@ def tie_heavy_arcs(draw):
             unique=True,
         )
     )
-    arcs = [arc_from_values(v, sid) for v, sid in zip(values, ids)]
-    return draw(st.permutations(arcs))
+    pairs = [(sid, arc_from_values(v)) for v, sid in zip(values, ids)]
+    return dict(draw(st.permutations(pairs)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -421,8 +446,8 @@ def tie_heavy_arcs(draw):
 def test_cluster_matches_oracle_on_tie_heavy_arcs(arcs):
     from sentarc.arc import _cluster_shape
 
-    shapes = [_cluster_shape(a) for a in arcs]
-    ids = [a.story_id for a in arcs]
+    shapes = [_cluster_shape(a) for a in arcs.values()]
+    ids = list(arcs)
     for k in range(1, len(arcs) + 1):
         labels, merges = cluster_arcs(arcs, k)
         assert labels == ward_oracle(shapes, ids, k)
@@ -432,14 +457,14 @@ def test_cluster_matches_oracle_on_tie_heavy_arcs(arcs):
 
 
 def test_cluster_order_independent():
-    arcs = [
-        linear_arc("a", 0.1, 0.9, jitter=0.05, seed=11),
-        linear_arc("b", 0.9, 0.1, jitter=0.05, seed=12),
-        linear_arc("c", 0.4, 0.6, jitter=0.05, seed=13),
-        linear_arc("d", 0.6, 0.4, jitter=0.05, seed=14),
-    ]
+    arcs = {
+        "a": linear_arc(0.1, 0.9, jitter=0.05, seed=11),
+        "b": linear_arc(0.9, 0.1, jitter=0.05, seed=12),
+        "c": linear_arc(0.4, 0.6, jitter=0.05, seed=13),
+        "d": linear_arc(0.6, 0.4, jitter=0.05, seed=14),
+    }
     labels_fwd, merges_fwd = cluster_arcs(arcs, 2)
-    labels_rev, merges_rev = cluster_arcs(arcs[::-1], 2)
+    labels_rev, merges_rev = cluster_arcs(dict(reversed(arcs.items())), 2)
     assert labels_fwd == labels_rev
     assert merges_fwd == merges_rev
 
@@ -458,7 +483,7 @@ def test_cluster_memory_grows_with_m_squared():
     """At m = 400 the m x m x 100 difference tensor alone took 100 · 8m² bytes."""
     rng = np.random.default_rng(21)
     m = 400
-    arcs = [arc_from_values(rng.uniform(size=150), f"s{i:03d}") for i in range(m)]
+    arcs = {f"s{i:03d}": arc_from_values(rng.uniform(size=150)) for i in range(m)}
     tracemalloc.start()
     try:
         cluster_arcs(arcs, 4)

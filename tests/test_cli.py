@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -165,7 +166,7 @@ def test_hurst_series_rejects_non_finite_value(tmp_path, capsys, bad):
     series_path.write_text("\n".join(values) + "\n")
     code, _, err = run_cli(["hurst", "--series", str(series_path)], capsys)
     assert code == 1
-    assert "non-finite value" in err and "at index 100" in err
+    assert f"series.csv:101: non-finite value '{bad}'" in err
 
 
 def _reject_constant(name):
@@ -256,13 +257,16 @@ def read_series_loop(path):
         if not item:
             continue
         try:
-            values.append(float(item))
+            value = float(item)
         except ValueError:
             if lineno == 1:
                 continue
             raise SentarcError(
                 f"{path}:{lineno}: expected one numeric column, got {item!r}"
             ) from None
+        if not math.isfinite(value):
+            raise SentarcError(f"{path}:{lineno}: non-finite value {item!r}")
+        values.append(value)
     return values
 
 
@@ -289,6 +293,9 @@ def read_series_loop(path):
         "  \nvalue\n1\n",
         "1\n2\n\nfoo\n",
         "1\n\x1c2\n",
+        "value\n1\n-inf\n",
+        "nan\n1\n2\n",
+        "1\n inf \nfoo\n",
     ],
 )
 def test_read_series_matches_line_loop(tmp_path, text):
@@ -300,7 +307,8 @@ def test_read_series_matches_line_loop(tmp_path, text):
         with pytest.raises(SentarcError) as got:
             serialize.read_series(inputs.read_text(str(path), SentarcError), str(path))
         assert str(got.value) == str(exc)
-        pattern = rf"{re.escape(str(path))}:\d+: expected one numeric column, got '.*'"
+        reasons = "expected one numeric column, got|non-finite value"
+        pattern = rf"{re.escape(str(path))}:\d+: ({reasons}) '.*'"
         assert re.fullmatch(pattern, str(exc))
     else:
         got = serialize.read_series(inputs.read_text(str(path), SentarcError), str(path))
@@ -886,7 +894,7 @@ def test_bare_dcor_permutations_means_9999_draws(argv):
     parse = build_parser().parse_args
     assert parse(argv + ["--dcor-permutations"]).dcor_permutations == 9999
     assert parse(argv + ["--dcor-permutations", "--seed", "3"]).dcor_permutations == 9999
-    assert parse(argv).dcor_permutations is None
+    assert parse(argv).dcor_permutations == 0
 
 
 def test_correlate_from_results(tmp_path, lexicon_path, small_corpus, capsys):

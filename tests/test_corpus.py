@@ -384,12 +384,11 @@ def test_build_arcs_same_at_any_jobs(tmp_path, graded_lex):
         write_story(tmp_path, f"s{i}", fgn_token_text(0.5 + 0.1 * i, 512, seed=i))
     write_story(tmp_path, "empty", "")
     corpus = load_corpus(tmp_path)
-    want = [arc_from_text(s.text, graded_lex, s.id, 0.05) for s in corpus]
+    want = [arc_from_text(s.text, graded_lex, 0.05) for s in corpus]
     for jobs in (1, 2):
         got = build_arcs(corpus, graded_lex, 0.05, jobs=jobs)
-        assert [a.story_id for a in got] == [s.id for s in corpus]
-        for a, b in zip(got, want):
-            assert (a.story_id, a.n_tokens, a.coverage) == (b.story_id, b.n_tokens, b.coverage)
+        for a, b in zip(got, want, strict=True):
+            assert (a.n_tokens, a.coverage) == (b.n_tokens, b.coverage)
             assert a.raw.tobytes() == b.raw.tobytes()
             assert a.smooth.tobytes() == b.smooth.tobytes()
 
@@ -417,23 +416,26 @@ def test_pool_pickles_no_story_under_fork(monkeypatch, graded_lex):
     monkeypatch.setattr(Story, "__reduce_ex__", refuse)
     records = analyze_corpus(corpus, graded_lex, jobs=2)
     arcs = build_arcs(corpus, graded_lex, 0.05, jobs=2)
-    assert [r.id for r in records] == [a.story_id for a in arcs] == [s.id for s in corpus]
+    assert [r.id for r in records] == [s.id for s in corpus]
+    for story, arc in zip(corpus, arcs, strict=True):
+        assert arc.raw.tobytes() == arc_from_text(story.text, graded_lex).raw.tobytes()
     assert [sys.getsizeof(s.text) for s in corpus] == sizes
 
 
 _SPAWNED_POOL = """
 import multiprocessing, sys
-from sentarc import analyze_corpus, build_arcs, load_corpus, load_lexicon
+from sentarc import analyze_corpus, arc_from_text, build_arcs, load_corpus, load_lexicon
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     corpus, lexicon = load_corpus(sys.argv[1]), load_lexicon(sys.argv[2])
     assert analyze_corpus(corpus, lexicon, jobs=2) == analyze_corpus(corpus, lexicon, jobs=1)
     parallel, serial = (build_arcs(corpus, lexicon, 0.05, jobs=jobs) for jobs in (2, 1))
-    for a, b in zip(parallel, serial, strict=True):
-        assert (a.story_id, a.n_tokens, a.coverage) == (b.story_id, b.n_tokens, b.coverage)
-        assert a.raw.tobytes() == b.raw.tobytes()
-        assert a.smooth.tobytes() == b.smooth.tobytes()
+    for story, a, b in zip(corpus, parallel, serial, strict=True):
+        want = arc_from_text(story.text, lexicon, 0.05)
+        assert (a.n_tokens, a.coverage) == (b.n_tokens, b.coverage) == (want.n_tokens, want.coverage)
+        assert a.raw.tobytes() == b.raw.tobytes() == want.raw.tobytes()
+        assert a.smooth.tobytes() == b.smooth.tobytes() == want.smooth.tobytes()
 """
 
 
