@@ -1,6 +1,7 @@
 """sentarc: word-valence story arcs, Hurst exponents via adaptive fractal
 analysis, and correlations against reader ratings."""
 
+# a literal above the imports: pyproject.toml reads it without importing numpy
 __version__ = "0.1.0"
 
 from .afa import (
@@ -35,10 +36,7 @@ from .corpus import (
 )
 from .errors import (
     AfaError,
-    CorpusError,
     DegenerateSeriesError,
-    LexiconError,
-    RatingsError,
     SentarcError,
     SeriesTooShortError,
 )
@@ -57,14 +55,11 @@ from .synth import SynthSpec, fgn, fgn_autocovariance, white_noise
 __all__ = [
     "AfaResult",
     "AfaError",
-    "CorpusError",
     "CorrelationReport",
     "DegenerateSeriesError",
     "Lexicon",
-    "LexiconError",
     "Merge",
     "RatingRecord",
-    "RatingsError",
     "SentarcError",
     "SentimentArc",
     "SeriesTooShortError",

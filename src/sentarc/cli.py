@@ -176,7 +176,7 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
 
 def _cmd_arc(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    text = inputs.read_text(args.story, SentarcError)
+    text = inputs.read_text(args.story)
     series = arc_mod.arc_from_text(text, lexicon, smooth_fraction=args.smooth_fraction)
     with _open_out(args.out) as fh:
         serialize.write_arc_csv(series, fh)
@@ -193,10 +193,10 @@ def _cmd_hurst(args) -> int:
     if args.story is not None:
         if not args.lexicon:
             raise SentarcError("a story input requires --lexicon")
-        text = inputs.read_text(args.story, SentarcError)
+        text = inputs.read_text(args.story)
         values = arc_mod.arc_from_text(text, load_lexicon(args.lexicon)).raw
     else:
-        values = serialize.read_series(inputs.read_text(args.series, SentarcError), args.series)
+        values = serialize.read_series(inputs.read_text(args.series), args.series)
     result = estimate_hurst(values, args.order)
     with _open_out(args.out) as fh:
         fh.write(serialize.hurst_json(result))
@@ -250,7 +250,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    text = inputs.read_text(args.results, SentarcError)
+    text = inputs.read_text(args.results)
     records = serialize.read_results_csv(text, args.results)
     thresholds = sorted(set(args.min_ratings if args.min_ratings else [30]))
     reports = []
@@ -472,6 +472,16 @@ def main(argv=None) -> int:
         inputs_named = ("story", "series", "lexicon", "ratings", "mapping", "results")
         if sum(getattr(args, name, None) == "-" for name in inputs_named) > 1:
             raise SentarcError("at most one input may be -: stdin can be read only once")
+        files = {}
+        for name in ("out", "windows_out", "points_out", "tree_out"):
+            path = getattr(args, name, None)
+            # stdout and a device such as /dev/null take any number of writes
+            if path in (None, "-") or (os.path.exists(path) and not os.path.isfile(path)):
+                continue
+            first = files.setdefault(os.path.realpath(path), name)
+            if first != name:
+                flags = " and ".join("--" + n.replace("_", "-") for n in (first, name))
+                raise SentarcError(f"{flags} both name {path}: the second would replace the first")
         return args.func(args)
     except (SentarcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

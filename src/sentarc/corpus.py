@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import arc as arc_mod
 from .afa import MIN_SERIES_LENGTH, estimate_hurst
-from .errors import AfaError, CorpusError, RatingsError
+from .errors import AfaError, SentarcError
 from .inputs import read_csv_table, read_text
 from .lexicon import Lexicon
 from .stats import (
@@ -101,17 +101,17 @@ def load_corpus(directory) -> list[Story]:
     """
     root = Path(directory)
     if not root.is_dir():
-        raise CorpusError(f"not a directory: {directory}")
+        raise SentarcError(f"not a directory: {directory}")
     try:
         paths = sorted(root.glob("*.txt"), key=lambda p: p.stem)
     except OSError as exc:
-        raise CorpusError(f"cannot read corpus directory {directory}: {exc}") from exc
+        raise SentarcError(f"cannot read corpus directory {directory}: {exc}") from exc
 
     stories = []
     for path in paths:
         try:
-            text = read_text(path, CorpusError)
-        except CorpusError as exc:
+            text = read_text(path)
+        except SentarcError as exc:
             log.warning("%s, skipped", exc)
             continue
         stories.append(Story(id=path.stem, title=_title_from_stem(path.stem), text=text))
@@ -123,11 +123,10 @@ def load_ratings(path) -> list[RatingRecord]:
 
     Rows with an average outside [1, 5], a negative count, or a duplicate
     id are rejected with a logged line number. A missing or garbled
-    header and unparsable numerics raise RatingsError.
+    header and unparsable numerics raise SentarcError.
     """
     records: dict[str, RatingRecord] = {}
-    rows = read_csv_table(read_text(path, RatingsError), path, _RATINGS_FIELDS, RatingsError)
-    for line, row in rows:
+    for line, row in read_csv_table(read_text(path), path, _RATINGS_FIELDS):
         story_id, avg, count = row["id"], row["avg_rating"], row["n_ratings"]
         if not 1.0 <= avg <= 5.0:
             log.warning("%s:%d: avg_rating %s outside [1, 5], row rejected", path, line, avg)
@@ -147,7 +146,7 @@ def load_id_mapping(path) -> dict[str, str]:
     ratings, a repeated file_id is rejected with a logged line number."""
     mapping: dict[str, str] = {}
     fields = {"file_id": str, "ratings_id": str}
-    for line, row in read_csv_table(read_text(path, RatingsError), path, fields, RatingsError):
+    for line, row in read_csv_table(read_text(path), path, fields):
         if row["file_id"] in mapping:
             log.warning("%s:%d: duplicate id %r, row rejected", path, line, row["file_id"])
         else:
@@ -241,7 +240,7 @@ def analyze_corpus(
     when `jobs` > 1. `mapping` maps file ids to rating ids where they
     differ. One record per story, in corpus order; stories the estimator
     rejects carry a null Hurst and a reason code instead of being dropped.
-    Raises CorpusError only when not a single story yields an estimate.
+    Raises SentarcError only when not a single story yields an estimate.
     """
     ratings = ratings or []
     mapping = mapping or {}
@@ -255,9 +254,9 @@ def analyze_corpus(
             records[i] = replace(record, avg_rating=rating.avg_rating, n_ratings=rating.n_ratings)
 
     if records and not any(r.status == STATUS_OK for r in records):
-        raise CorpusError("no story produced a Hurst estimate")
+        raise SentarcError("no story produced a Hurst estimate")
     if not records:
-        raise CorpusError("empty corpus: nothing to analyze")
+        raise SentarcError("empty corpus: nothing to analyze")
     return records
 
 
@@ -281,14 +280,14 @@ def correlate(
         if r.hurst is not None and r.n_ratings is not None and r.n_ratings > min_ratings
     ]
     if len(kept) < 3:
-        raise CorpusError(
+        raise SentarcError(
             f"only {len(kept)} records with ratings above {min_ratings}; need at least 3"
         )
     h = [r.hurst for r in kept]
     ratings = [r.avg_rating for r in kept]
     for name, values in (("hurst", h), ("avg_rating", ratings)):
         if min(values) == max(values):
-            raise CorpusError(
+            raise SentarcError(
                 f"{name} is {values[0]} in all {len(kept)} records with ratings "
                 f"above {min_ratings}; the correlations are undefined"
             )

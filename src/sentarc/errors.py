@@ -5,18 +5,6 @@ class SentarcError(Exception):
     """Base class for all domain errors raised by sentarc."""
 
 
-class LexiconError(SentarcError):
-    """Lexicon file cannot be loaded."""
-
-
-class RatingsError(SentarcError):
-    """Ratings table cannot be loaded."""
-
-
-class CorpusError(SentarcError):
-    """Corpus directory cannot be processed."""
-
-
 class AfaError(SentarcError):
     """Fluctuation analysis cannot produce an estimate."""
 

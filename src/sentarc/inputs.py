@@ -18,19 +18,19 @@ from typing import Iterator
 from .errors import SentarcError
 
 
-def read_text(path, error: type[SentarcError]) -> str:
+def read_text(path) -> str:
     """The text of the file at `path`, or of stdin when `path` is `-`.
 
-    A missing file raises `error` as "no such file: PATH"; any other read
-    or decode failure as "cannot read PATH: reason".
+    A missing file raises SentarcError as "no such file: PATH"; any other
+    read or decode failure as "cannot read PATH: reason".
     """
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
         text = data.decode("utf-8")
     except FileNotFoundError:
-        raise error(f"no such file: {path}") from None
+        raise SentarcError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise SentarcError(f"cannot read {path}: {exc}") from exc
     return text.removeprefix("\ufeff")
 
 
@@ -45,34 +45,32 @@ def lines(text: str) -> list[str]:
     return parts
 
 
-def _nul_free(stream, path, error: type[SentarcError]):
+def _nul_free(stream, path):
     """The lines of `stream` unchanged, except that a line holding NUL
-    raises `error` at its line number: Python 3.10's csv module cannot read
-    NUL and 3.11's can, so NUL is no CSV character on any version."""
+    raises SentarcError at its line number: Python 3.10's csv module cannot
+    read NUL and 3.11's can, so NUL is no CSV character on any version."""
     for number, line in enumerate(stream, start=1):
         if "\0" in line:
-            raise error(f"{path}:{number}: NUL character")
+            raise SentarcError(f"{path}:{number}: NUL character")
         yield line
 
 
-def read_csv_table(
-    text: str, path, fields: dict, error: type[SentarcError]
-) -> Iterator[tuple[int, dict]]:
+def read_csv_table(text: str, path, fields: dict) -> Iterator[tuple[int, dict]]:
     """Each non-blank row of a CSV table as (line, {column: parsed cell}).
 
     `fields` maps each column, in header order, to the parser of its text.
     The header must match the columns once its cells are stripped. A row
     with the wrong field count, a cell its parser rejects with ValueError,
-    or text the csv module cannot split raises `error` as
+    or text the csv module cannot split raises SentarcError as
     "PATH:LINE: ..."; LINE is the physical line the row ends on. A line
     holding NUL is rejected before the csv module sees it.
     """
     # newline="" keeps each line's end, so a quoted cell keeps its CR/LF
-    reader = csv.reader(_nul_free(io.StringIO(text, newline=""), path, error))
+    reader = csv.reader(_nul_free(io.StringIO(text, newline=""), path))
     try:
         header = next(reader, None)
         if header is None or [cell.strip() for cell in header] != list(fields):
-            raise error(
+            raise SentarcError(
                 f"{path}: expected header {','.join(fields)!r}, "
                 f"got {'<empty file>' if header is None else ','.join(header)!r}"
             )
@@ -80,7 +78,7 @@ def read_csv_table(
             if not row:
                 continue
             if len(row) != len(fields):
-                raise error(
+                raise SentarcError(
                     f"{path}:{reader.line_num}: expected {len(fields)} fields, got {len(row)}"
                 )
             values = {}
@@ -88,8 +86,8 @@ def read_csv_table(
                 try:
                     values[name] = parse(cell)
                 except ValueError as exc:
-                    raise error(f"{path}:{reader.line_num}: {name}: {exc}") from None
+                    raise SentarcError(f"{path}:{reader.line_num}: {name}: {exc}") from None
             yield reader.line_num, values
     except csv.Error as exc:
         # a field over the size limit, say
-        raise error(f"{path}:{reader.line_num}: {exc}") from None
+        raise SentarcError(f"{path}:{reader.line_num}: {exc}") from None

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import LexiconError
 from .inputs import lines, read_text
 
 log = logging.getLogger(__name__)
@@ -54,12 +53,12 @@ def load_lexicon(path) -> Lexicon:
     Lines that are malformed or carry a valence outside [0, 1] are rejected
     with a logged warning naming the line number (counted in `n_rejected`).
 
-    Raises LexiconError on I/O or decoding failure.
+    Raises SentarcError on I/O or decoding failure.
     """
     entries: dict[str, float] = {}
     n_duplicates = 0
     n_rejected = 0
-    for lineno, line in enumerate(lines(read_text(path, LexiconError)), start=1):
+    for lineno, line in enumerate(lines(read_text(path)), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -30,13 +30,9 @@ _SERIES_CHUNK = 16384
 _NEEDS_QUOTES = re.compile(r'[,"\r\n\0]').search
 
 
-def fmt_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _opt(value) -> str:
-    # floats first and fmt_float inlined: most cells are floats, this runs
-    # once per cell, and neither None nor a bool is a float
+    # floats first: most cells are floats, this runs once per cell, and
+    # neither None nor a bool is a float
     if isinstance(value, float):
         return format(float(value), ".17g")
     if value is None:
@@ -79,7 +75,7 @@ def write_window_csv(summary: WindowSummary, out: IO[str]) -> None:
 
 
 def write_series_csv(values: Sequence[float] | np.ndarray, out: IO[str]) -> None:
-    """One value per line, in `fmt_float` form.
+    """One value per line, in `_opt`'s 17-digit form.
 
     Each chunk of 16k values is formatted by one `%`, so the memory held
     is a chunk's text, never the whole series'.
@@ -254,7 +250,7 @@ def read_results_csv(text: str, path: str) -> list[StoryRecord]:
     """
     records = []
     first_lines: dict[str, int] = {}
-    for line, values in read_csv_table(text, path, _RESULTS_FIELDS, SentarcError):
+    for line, values in read_csv_table(text, path, _RESULTS_FIELDS):
         derived = {name: values.pop(name) for name in ("sweet_spot", "status")}
         record = StoryRecord(**values)
         fault = _row_fault(record, derived, line, first_lines.setdefault(record.id, line))

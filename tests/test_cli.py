@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,7 +26,18 @@ from conftest import (
     write_lexicon_file,
     write_story,
 )
-from sentarc import SynthSpec, estimate_hurst, fgn
+from sentarc import (
+    AfaResult,
+    CorrelationReport,
+    Lexicon,
+    Merge,
+    StoryRecord,
+    SynthSpec,
+    arc_from_text,
+    estimate_hurst,
+    fgn,
+    window_summary,
+)
 from sentarc import corpus as corpus_mod
 from sentarc import inputs, serialize
 from sentarc.cli import _open_out, build_parser, main
@@ -305,13 +318,13 @@ def test_read_series_matches_line_loop(tmp_path, text):
         want = read_series_loop(path)
     except SentarcError as exc:
         with pytest.raises(SentarcError) as got:
-            serialize.read_series(inputs.read_text(str(path), SentarcError), str(path))
+            serialize.read_series(inputs.read_text(str(path)), str(path))
         assert str(got.value) == str(exc)
         reasons = "expected one numeric column, got|non-finite value"
         pattern = rf"{re.escape(str(path))}:\d+: ({reasons}) '.*'"
         assert re.fullmatch(pattern, str(exc))
     else:
-        got = serialize.read_series(inputs.read_text(str(path), SentarcError), str(path))
+        got = serialize.read_series(inputs.read_text(str(path)), str(path))
         got, want = np.array(got, dtype=float), np.array(want, dtype=float)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -625,6 +638,49 @@ def test_out_dev_null_still_written_in_place(tmp_path, capsys):
     )
     assert (code, out, err) == (0, "", "")
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize(
+    "command, second_flag, via_symlink, existing",
+    [
+        ("arc", "--windows-out", False, True),
+        ("hurst", "--points-out", False, True),
+        ("hurst", "--points-out", True, True),
+        ("cluster", "--tree-out", False, False),
+    ],
+    ids=["arc", "hurst", "hurst-symlink", "cluster-new-file"],
+)
+def test_two_outputs_naming_one_file_exit_1(
+    tmp_path, lexicon_path, capsys, command, second_flag, via_symlink, existing
+):
+    # each output replaces its file whole, so the second would erase the first
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(3):
+        story = write_story(corpus, f"tale_{i}", fgn_token_text(0.6, 512, seed=i))
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_text("old bytes\n")
+    second = target
+    if via_symlink:
+        second = tmp_path / "link.csv"
+        second.symlink_to(target)
+    story_input = [str(story), "--lexicon", str(lexicon_path)]
+    argv = {
+        "arc": ["arc", *story_input],
+        "hurst": ["hurst", *story_input],
+        "cluster": ["cluster", "--corpus", str(corpus), "--lexicon", str(lexicon_path), "--k", "2"],
+    }[command] + ["--out", str(target), second_flag, str(second)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: --out and {second_flag} both name {second}: "
+        "the second would replace the first\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if existing:
+        assert target.read_text() == "old bytes\n"
 
 
 def test_out_in_missing_directory_names_the_output(tmp_path, capsys):
@@ -1332,6 +1388,51 @@ def test_help_documents_flags_and_columns(subcommand, needles, capsys):
     out = capsys.readouterr().out
     for needle in needles:
         assert needle in out, f"{subcommand} --help missing {needle!r}"
+
+
+def _csv_header(write, table) -> list[str]:
+    buf = io.StringIO()
+    write(table, buf)
+    return buf.getvalue().split("\n", 1)[0].split(",")
+
+
+def _written_columns() -> dict[str, list[str]]:
+    """Every column and JSON key each subcommand writes, read off its
+    writers' output on a small input."""
+    arc = arc_from_text("good bad good", Lexicon(entries={"good": 0.9, "bad": 0.1}), 0.5)
+    result = AfaResult(hurst=0.6, intercept=0.1, r_squared=0.9, points=((2.0, 1.0),))
+    record = StoryRecord(
+        id="a", title="A", n_tokens=600, coverage=1.0, hurst=0.6, r_squared=0.9,
+        avg_rating=4.0, n_ratings=40,
+    )
+    report = CorrelationReport(*(1.0 for _ in dataclasses.fields(CorrelationReport)))
+    report_keys = list(json.loads(serialize.reports_json([report]))[0])
+    return {
+        "arc": _csv_header(serialize.write_arc_csv, arc)
+        + _csv_header(serialize.write_window_csv, window_summary(arc, 2)),
+        "hurst": list(json.loads(serialize.hurst_json(result)))
+        + _csv_header(serialize.write_points_csv, result),
+        "analyze": _csv_header(serialize.write_results_csv, [record])
+        + _csv_header(serialize.write_scatter_csv, [record])
+        + _csv_header(serialize.write_ratings_scatter_csv, [record])
+        + report_keys,
+        "correlate": report_keys,
+        "cluster": _csv_header(serialize.write_labels_csv, {"a": 0})
+        + _csv_header(serialize.write_merges_csv, [Merge(a="a", b="b", height=1.0, size=2)]),
+    }
+
+
+def test_help_epilog_names_every_written_column():
+    # the epilogs are written by hand; each column a writer adds must join them
+    (subcommands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for command, columns in _written_columns().items():
+        epilog = subcommands[command].epilog
+        missing = [c for c in columns if not re.search(rf"\b{re.escape(c)}\b", epilog)]
+        assert not missing, f"{command} --help epilog does not name {missing}"
 
 
 def test_console_entry_point_runs():

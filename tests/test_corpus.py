@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentarc import (
-    CorpusError,
     DegenerateSeriesError,
     RatingRecord,
-    RatingsError,
+    SentarcError,
     SeriesTooShortError,
     StoryRecord,
     analyze_corpus,
@@ -80,7 +79,7 @@ def test_invalid_utf8_skipped_with_warning(tmp_path, caplog):
 
 
 def test_missing_directory_raises(tmp_path):
-    with pytest.raises(CorpusError):
+    with pytest.raises(SentarcError):
         load_corpus(tmp_path / "nope")
 
 
@@ -120,13 +119,13 @@ def test_ratings_duplicate_id_rejected(tmp_path, caplog):
 def test_ratings_bad_header_raises(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("id,name,rating\n")
-    with pytest.raises(RatingsError):
+    with pytest.raises(SentarcError):
         load_ratings(path)
 
 
 def test_ratings_unparsable_numeric_raises(tmp_path):
     path = write_ratings(tmp_path / "r.csv", ["a,A,not_a_number,10"])
-    with pytest.raises(RatingsError, match=":2:"):
+    with pytest.raises(SentarcError, match=":2:"):
         load_ratings(path)
 
 
@@ -166,28 +165,28 @@ def test_ratings_warning_names_physical_line(tmp_path, caplog):
 
 def test_ratings_error_names_physical_line(tmp_path):
     path = write_ratings(tmp_path / "r.csv", [TWO_LINE_ROW, "b,B,3.0,many"])
-    with pytest.raises(RatingsError, match=rf"^{re.escape(str(path))}:4: n_ratings: "):
+    with pytest.raises(SentarcError, match=rf"^{re.escape(str(path))}:4: n_ratings: "):
         load_ratings(path)
 
 
 def test_mapping_error_names_physical_line(tmp_path):
     path = tmp_path / "map.csv"
     path.write_text('file_id,ratings_id\na,"x\ny"\nb\n')
-    with pytest.raises(RatingsError, match=r":4: expected 2 fields, got 1$"):
+    with pytest.raises(SentarcError, match=r":4: expected 2 fields, got 1$"):
         load_id_mapping(path)
 
 
 def test_oversized_header_field_names_line_one(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text("id,title," + "x" * 200_000 + ",n_ratings\n")
-    with pytest.raises(RatingsError, match=re.escape(f"{path}:1: field larger than field limit")):
+    with pytest.raises(SentarcError, match=re.escape(f"{path}:1: field larger than field limit")):
         load_ratings(path)
 
 
 def test_mapping_bad_header_raises(tmp_path):
     path = tmp_path / "map.csv"
     path.write_text("file,ratings\na,b\n")
-    with pytest.raises(RatingsError, match="expected header 'file_id,ratings_id'"):
+    with pytest.raises(SentarcError, match="expected header 'file_id,ratings_id'"):
         load_id_mapping(path)
 
 
@@ -324,12 +323,12 @@ def test_mapping_applied_to_join(tmp_path, graded_lex):
 
 def test_all_failed_corpus_raises(tmp_path, graded_lex):
     write_story(tmp_path, "tiny", "gak gau")
-    with pytest.raises(CorpusError):
+    with pytest.raises(SentarcError):
         analyze_corpus(load_corpus(tmp_path), graded_lex)
 
 
 def test_empty_corpus_raises(graded_lex):
-    with pytest.raises(CorpusError):
+    with pytest.raises(SentarcError):
         analyze_corpus([], graded_lex)
 
 
@@ -477,7 +476,7 @@ def _analyze_outcome(corpus, ratings, jobs):
     lexicon = Lexicon(entries=dict(GRADED_WORDS))
     try:
         return analyze_corpus(corpus, lexicon, ratings=ratings, jobs=jobs)
-    except CorpusError as exc:
+    except SentarcError as exc:
         return str(exc)
 
 
@@ -559,7 +558,7 @@ def test_correlate_monotone_filtering():
 
 def test_correlate_too_few_survivors():
     records = [make_record("a", 0.5, 3.0, 10), make_record("b", 0.6, 3.5, 10)]
-    with pytest.raises(CorpusError):
+    with pytest.raises(SentarcError):
         correlate(records, min_ratings=30)
 
 
@@ -572,7 +571,7 @@ def test_correlate_too_few_survivors():
     ids=["hurst", "avg_rating"],
 )
 def test_correlate_rejects_constant_inputs(records, constant):
-    with pytest.raises(CorpusError, match=f"{constant} is .* in all 4 records with ratings above 30"):
+    with pytest.raises(SentarcError, match=f"{constant} is .* in all 4 records with ratings above 30"):
         correlate(records, min_ratings=30)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentarc import Lexicon, LexiconError, load_lexicon, sentiment_series
+from sentarc import Lexicon, SentarcError, load_lexicon, sentiment_series
 from sentarc.lexicon import NEUTRAL_VALENCE
 
 from conftest import write_lexicon_file
@@ -84,7 +84,7 @@ def test_oov_returns_neutral():
 
 
 def test_missing_file_raises():
-    with pytest.raises(LexiconError):
+    with pytest.raises(SentarcError):
         load_lexicon("/no/such/lexicon.tsv")
 
 

@@ -14,7 +14,6 @@ from sentarc.errors import SentarcError
 from sentarc.inputs import lines
 from sentarc.serialize import (
     RESULTS_HEADER,
-    fmt_float,
     hurst_json,
     read_results_csv,
     report_json,
@@ -44,9 +43,9 @@ def make_report(**overrides):
 
 
 def test_fmt_float_17_significant_digits():
-    assert fmt_float(1 / 3) == "0.33333333333333331"
-    assert fmt_float(0.5) == "0.5"
-    assert float(fmt_float(0.1)) == 0.1  # round-trips exactly
+    assert _opt(1 / 3) == "0.33333333333333331"
+    assert _opt(0.5) == "0.5"
+    assert float(_opt(0.1)) == 0.1  # round-trips exactly
 
 
 def test_hurst_json_shape():
@@ -362,7 +361,7 @@ def series_csv(values) -> str:
 
 @pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
 def test_series_csv_same_bytes_as_fmt_float_per_value(container):
-    want = "".join(fmt_float(v) + "\n" for v in EDGE_VALUES)
+    want = "".join(format(v, ".17g") + "\n" for v in EDGE_VALUES)
     assert series_csv(container(EDGE_VALUES)) == want
 
 
@@ -376,5 +375,5 @@ def test_series_csv_chunk_boundaries(length):
     values = np.random.default_rng(length).standard_cauchy(length)
     values[::97] = np.round(values[::97])  # integer-valued floats too
     text = series_csv(values)
-    assert text == "".join(fmt_float(v) + "\n" for v in values)
+    assert text == "".join(format(v, ".17g") + "\n" for v in values)
     assert text.count("\n") == length
