@@ -34,12 +34,7 @@ from .corpus import (
     load_id_mapping,
     load_ratings,
 )
-from .errors import (
-    AfaError,
-    DegenerateSeriesError,
-    SentarcError,
-    SeriesTooShortError,
-)
+from .errors import AfaError, SentarcError
 from .lexicon import Lexicon, load_lexicon
 from .stats import (
     CorrelationReport,
@@ -56,13 +51,11 @@ __all__ = [
     "AfaResult",
     "AfaError",
     "CorrelationReport",
-    "DegenerateSeriesError",
     "Lexicon",
     "Merge",
     "RatingRecord",
     "SentarcError",
     "SentimentArc",
-    "SeriesTooShortError",
     "Story",
     "StoryRecord",
     "SynthSpec",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, SeriesTooShortError
+from .errors import AfaError
 
 #: Shortest series the estimator accepts.
 MIN_SERIES_LENGTH = 60
@@ -196,7 +196,7 @@ def default_window_sizes(n_samples: int) -> tuple[int, ...]:
     if max_window % 2 == 0:
         max_window -= 1
     if max_window < MIN_WINDOW:
-        raise SeriesTooShortError(
+        raise AfaError(
             f"series of {n_samples} samples leaves no window range "
             f"[{MIN_WINDOW}, {n_samples // 4}]"
         )
@@ -219,9 +219,9 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
 
     Raises ValueError for an order outside [0, 3] (an order-4 fit passes
     through all five samples of the smallest window), for input that is
-    not 1-D and on NaN or infinite input, SeriesTooShortError below 60
-    samples, and DegenerateSeriesError when fewer than MIN_WINDOWS_FOR_FIT
-    windows produce a nonzero residual (constant input, for example).
+    not 1-D and on NaN or infinite input. Raises AfaError below 60
+    samples, and when fewer than MIN_WINDOWS_FOR_FIT windows produce a
+    nonzero residual (constant input, for example).
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -236,14 +236,14 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
         raise ValueError(f"non-finite value {x[first]} at index {first}")
     n_samples = x.size
     if n_samples < MIN_SERIES_LENGTH:
-        raise SeriesTooShortError(
+        raise AfaError(
             f"series has {n_samples} samples; at least {MIN_SERIES_LENGTH} required"
         )
     windows = default_window_sizes(n_samples)
     # rounding in the mean can leave a constant series with a nonzero
     # profile, so rule it out exactly rather than through F(w)
     if np.all(x == x[0]):
-        raise DegenerateSeriesError("degenerate series: constant input")
+        raise AfaError("degenerate series: constant input")
     u = profile(scale_extreme_peak(x))
     points = []
     for w in windows:
@@ -252,7 +252,7 @@ def estimate_hurst(series, order: int = 1) -> AfaResult:
         if f > 0.0:
             points.append((float(np.log2(w)), float(np.log2(f))))
     if len(points) < MIN_WINDOWS_FOR_FIT:
-        raise DegenerateSeriesError(
+        raise AfaError(
             f"degenerate series: only {len(points)} of {len(windows)} windows "
             "produced a nonzero fluctuation"
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import logging
 import os
 import stat
@@ -80,6 +81,24 @@ def _open_out(path: str | os.PathLike):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _unwritable(path: str, directory: bool) -> str | None:
+    """Why the output `path` cannot be written, as the OS words it, or
+    None. A file output must not be a directory, and a new one needs an
+    existing directory; a `directory` output must be a directory when it
+    exists, and a new one is made, parents and all, after the work."""
+    try:
+        is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+    except FileNotFoundError:
+        if directory or os.path.isdir(os.path.dirname(path) or "."):
+            return None
+        return os.strerror(errno.ENOENT)
+    except OSError as exc:
+        return exc.strerror  # a file on the way to it, say
+    if is_dir != directory:
+        return os.strerror(errno.ENOTDIR if directory else errno.EISDIR)
+    return None
 
 
 def _checked(cast, valid, rule: str):
@@ -450,8 +469,18 @@ def build_parser() -> _Parser:
         ),
         epilog="Output: a single numeric column with no header.",
     )
-    p_synth.add_argument("--h", type=float, required=True, help="target Hurst exponent in (0,1)")
-    p_synth.add_argument("--n", type=int, required=True, help="series length, a power of two >= 64")
+    p_synth.add_argument(
+        "--h",
+        type=_checked(float, lambda h: 0.0 < h < 1.0, "in (0, 1)"),
+        required=True,
+        help="target Hurst exponent in (0,1)",
+    )
+    p_synth.add_argument(
+        "--n",
+        type=_checked(int, lambda n: n >= 64 and n & (n - 1) == 0, "a power of two >= 64"),
+        required=True,
+        help="series length, a power of two >= 64",
+    )
     p_synth.add_argument(
         "--seed", type=_int_at_least(0), default=1, help="generator seed, at least 0 (default 1)"
     )
@@ -475,8 +504,13 @@ def main(argv=None) -> int:
         files = {}
         for name in ("out", "windows_out", "points_out", "tree_out"):
             path = getattr(args, name, None)
-            # stdout and a device such as /dev/null take any number of writes
-            if path in (None, "-") or (os.path.exists(path) and not os.path.isfile(path)):
+            if path in (None, "-"):
+                continue
+            reason = _unwritable(path, directory=args.command == "analyze")
+            if reason:
+                raise SentarcError(f"cannot write {path}: {reason}")
+            # a device such as /dev/null takes any number of writes
+            if os.path.exists(path) and not os.path.isfile(path):
                 continue
             first = files.setdefault(os.path.realpath(path), name)
             if first != name:

@@ -77,7 +77,8 @@ class StoryRecord:
     def status(self) -> str:
         """`ok` with an estimate; without one, `too_short` below
         MIN_SERIES_LENGTH tokens and `degenerate` otherwise. Exact, because
-        `estimate_hurst` checks the length before any degeneracy."""
+        `estimate_hurst` refuses every series under MIN_SERIES_LENGTH and
+        a longer one only when it is degenerate."""
         if self.hurst is not None:
             return STATUS_OK
         return STATUS_TOO_SHORT if self.n_tokens < MIN_SERIES_LENGTH else STATUS_DEGENERATE

@@ -8,10 +8,3 @@ class SentarcError(Exception):
 class AfaError(SentarcError):
     """Fluctuation analysis cannot produce an estimate."""
 
-
-class SeriesTooShortError(AfaError):
-    """Input series shorter than the analysis requires."""
-
-
-class DegenerateSeriesError(AfaError):
-    """Series has no usable fluctuations (e.g. constant input)."""

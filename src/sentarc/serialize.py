@@ -99,34 +99,23 @@ def read_series(text: str, path: str) -> np.ndarray:
     rows = lines(text)
     del text  # the last reference to a caller's temporary: freed before the array grows
 
-    def reject_non_finite(stop=None):
-        # only called once a bad value is known: no per-value check on the way in
-        for number, line in enumerate(itertools.islice(rows, stop), start=1):
-            item = line.strip()
+    def values():
+        isfinite = math.isfinite
+        # strip() also drops U+001C..U+001F, which float() rejects
+        for number, item in enumerate(map(str.strip, rows), start=1):
             try:
                 value = float(item)
             except ValueError:
-                continue
-            if not math.isfinite(value):
-                raise SentarcError(f"{path}:{number}: non-finite value {item!r}")
-
-    def values():
-        for number, line in enumerate(rows, start=1):
-            # strip() also drops U+001C..U+001F, which float() rejects
-            item = line.strip()
-            try:
-                yield float(item)
-            except ValueError:
                 if item and number > 1:
-                    reject_non_finite(number - 1)
                     raise SentarcError(
                         f"{path}:{number}: expected one numeric column, got {item!r}"
                     ) from None
+                continue
+            if not isfinite(value):
+                raise SentarcError(f"{path}:{number}: non-finite value {item!r}")
+            yield value
 
-    series = np.fromiter(values(), float)
-    if not np.isfinite(series).all():
-        reject_non_finite()
-    return series
+    return np.fromiter(values(), float)
 
 
 def write_points_csv(result: AfaResult, out: IO[str]) -> None:

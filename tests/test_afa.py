@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentarc import (
+    AfaError,
     AfaResult,
-    DegenerateSeriesError,
-    SeriesTooShortError,
     SynthSpec,
     default_window_sizes,
     estimate_hurst,
@@ -352,12 +351,12 @@ def test_alternating_series_antipersistent():
 
 
 def test_constant_series_degenerate():
-    with pytest.raises(DegenerateSeriesError):
+    with pytest.raises(AfaError, match="^degenerate series: constant input$"):
         estimate_hurst(np.full(500, 0.5))
 
 
 def test_short_series_rejected():
-    with pytest.raises(SeriesTooShortError):
+    with pytest.raises(AfaError, match="^series has 59 samples; at least 60 required$"):
         estimate_hurst(np.random.default_rng(0).uniform(size=59))
 
 

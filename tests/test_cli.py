@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -38,6 +39,7 @@ from sentarc import (
     fgn,
     window_summary,
 )
+from sentarc import cli as cli_mod
 from sentarc import corpus as corpus_mod
 from sentarc import inputs, serialize
 from sentarc.cli import _open_out, build_parser, main
@@ -309,6 +311,9 @@ def read_series_loop(path):
         "value\n1\n-inf\n",
         "nan\n1\n2\n",
         "1\n inf \nfoo\n",
+        "1\n\ninf\nfoo\n",
+        "1\nfoo\ninf\n",
+        "nan\n1\n",
     ],
 )
 def test_read_series_matches_line_loop(tmp_path, text):
@@ -690,6 +695,47 @@ def test_out_in_missing_directory_names_the_output(tmp_path, capsys):
     )
     assert code == 1
     assert str(target) in err and ".tmp" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, target, code",
+    [
+        ("cluster", "--tree-out", "no_such_dir/tree.csv", errno.ENOENT),
+        ("hurst", "--points-out", "file.txt/points.csv", errno.ENOTDIR),
+        ("cluster", "--out", "dir", errno.EISDIR),
+        ("analyze", "--out", "file.txt", errno.ENOTDIR),
+    ],
+    ids=["missing-directory", "directory-is-a-file", "file-output-is-a-directory",
+         "analyze-out-is-a-file"],
+)
+def test_unwritable_output_exit_1_before_any_input_is_read(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command, flag, target, code
+):
+    corpus, ratings = small_corpus
+    (tmp_path / "file.txt").write_text("old bytes\n")
+    (tmp_path / "dir").mkdir()
+    series = tmp_path / "series.csv"
+    series.write_text("\n".join(map(str, range(200))) + "\n")
+
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(inputs, "read_text", read)
+    monkeypatch.setattr(cli_mod, "load_lexicon", read)
+    monkeypatch.setattr(corpus_mod, "load_corpus", read)
+    argv = {
+        "analyze": ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+                    "--ratings", str(ratings)],
+        "cluster": ["cluster", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+                    "--k", "2"],
+        "hurst": ["hurst", "--series", str(series)],
+    }[command] + [flag, str(tmp_path / target)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run_cli(argv, capsys) == (
+        1, "", f"error: cannot write {tmp_path / target}: {os.strerror(code)}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "file.txt").read_text() == "old bytes\n"
 
 
 # --------------------------------------------------------------- correlate
@@ -1343,7 +1389,13 @@ def test_cluster_k_too_large_exit_1(tmp_path, lexicon_path, small_corpus, capsys
 def test_synth_rejects_bad_h(capsys):
     code, _, err = run_cli(["synth", "--h", "1.5", "--n", "256"], capsys)
     assert code == 1
-    assert "target_h" in err
+    assert err == "sentarc synth: error: argument --h: must be in (0, 1), got 1.5\n"
+
+
+def test_synth_rejects_bad_n(capsys):
+    code, _, err = run_cli(["synth", "--h", "0.5", "--n", "100"], capsys)
+    assert code == 1
+    assert err == "sentarc synth: error: argument --n: must be a power of two >= 64, got 100\n"
 
 
 def test_synth_deterministic_output(tmp_path, capsys):

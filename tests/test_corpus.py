@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentarc import (
-    DegenerateSeriesError,
+    AfaError,
     RatingRecord,
     SentarcError,
-    SeriesTooShortError,
     StoryRecord,
     analyze_corpus,
     arc_from_text,
@@ -32,6 +31,7 @@ from conftest import (
     write_story,
 )
 from sentarc import corpus as corpus_mod
+from sentarc.afa import MIN_SERIES_LENGTH
 from sentarc.corpus import Story
 from sentarc.lexicon import Lexicon
 
@@ -278,9 +278,10 @@ def test_record_stores_neither_status_nor_sweet_spot():
     seed=st.integers(0, 2**16),
 )
 def test_status_names_the_error_estimate_hurst_raises(n_tokens, constant_share, order, seed):
-    """The derived status is exact: it names the error the estimator raises
-    on the story's series, even for series that are constant save a few
-    tokens."""
+    """The derived status is exact: the record has no estimate exactly when
+    the estimator refuses the story's series, and its status is too_short
+    exactly below MIN_SERIES_LENGTH tokens, even for series that are
+    constant save a few tokens."""
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, 101, n_tokens)
     levels[rng.random(n_tokens) < constant_share] = 50
@@ -288,14 +289,13 @@ def test_status_names_the_error_estimate_hurst_raises(n_tokens, constant_share, 
     lexicon = Lexicon(entries=dict(GRADED_WORDS))
     try:
         estimate_hurst(arc_from_text(text, lexicon).raw, order)
-        want = "ok"
-    except SeriesTooShortError:
-        want = "too_short"
-    except DegenerateSeriesError:
-        want = "degenerate"
+        refused = False
+    except AfaError:
+        refused = True
     record = corpus_mod._analyze_story(Story(id="s", title="S", text=text), lexicon, order)
-    assert record.status == want
-    assert (record.hurst is None) == (want != "ok")
+    assert (record.hurst is None) == refused
+    assert (record.status == "ok") == (not refused)
+    assert (record.status == "too_short") == (record.n_tokens < MIN_SERIES_LENGTH)
 
 
 def test_join_never_invents_ratings(tmp_path, graded_lex):
