@@ -22,13 +22,30 @@ from sentarc import SynthSpec, fgn
 
 
 def graded_word(level: int) -> str:
+    # letters only so the tokenizer keeps them whole
     return "g" + chr(ord("a") + level // 26) + chr(ord("a") + level % 26)
 
 
-def token_text(target_h: float, n: int, seed: int) -> str:
+#: Graded lexicon: 101 letter-only tokens carrying valences 0.00..1.00.
+GRADED_WORDS = {graded_word(i): i / 100 for i in range(101)}
+
+
+def fgn_token_text(target_h: float, n: int, seed: int) -> str:
+    """Token stream whose valence series is a quantized affine map of fGn.
+
+    The noise is squeezed into [0, 1] around 0.5 and snapped to the nearest
+    of the 101 graded-lexicon levels, so the series keeps the generator's
+    scaling exponent up to a small quantization floor.
+    """
     noise = fgn(SynthSpec(target_h=target_h, n=n, seed=seed))
     levels = np.clip(np.round((0.5 + 0.15 * noise) * 100), 0, 100).astype(int)
     return " ".join(graded_word(level) for level in levels)
+
+
+def write_graded_lexicon_file(path: Path) -> Path:
+    lines = ["word\tvalence"] + [f"{w}\t{v!r}" for w, v in GRADED_WORDS.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def main() -> int:
@@ -43,10 +60,7 @@ def main() -> int:
     corpus = root / "corpus"
     corpus.mkdir(parents=True, exist_ok=True)
 
-    lexicon_lines = ["word\tvalence"] + [
-        f"{graded_word(i)}\t{i / 100!r}" for i in range(101)
-    ]
-    (root / "lexicon.tsv").write_text("\n".join(lexicon_lines) + "\n")
+    write_graded_lexicon_file(root / "lexicon.tsv")
 
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -54,7 +68,7 @@ def main() -> int:
         target = 0.3 + 0.6 * idx / max(args.stories - 1, 1)
         story_id = f"tale_{idx:03d}"
         (corpus / f"{story_id}.txt").write_text(
-            token_text(target, args.tokens, seed=500 + idx)
+            fgn_token_text(target, args.tokens, seed=500 + idx)
         )
         popular = idx % 6 != 0
         n_ratings = int(rng.integers(31, 40000)) if popular else int(rng.integers(1, 31))

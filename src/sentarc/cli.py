@@ -44,43 +44,55 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+#: The files `analyze` writes into --out, in the order it writes them.
+ANALYZE_FILES = ("results.csv", "scatter.csv", "ratings_scatter.csv", "report.json")
+
+
 @contextlib.contextmanager
-def _open_out(path: str | os.PathLike):
-    """Text sink for an output path; `-` means stdout.
+def _open_out(*paths: str | os.PathLike | None):
+    """Text sinks for a command's outputs, one per path: `-` gives stdout
+    and None gives None.
 
     A new or regular file is written through a temporary file in its
-    directory, renamed over it only when the body succeeds, with the mode
-    `open(path, "w")` gives. Symlinks and other existing paths that are not
-    regular files, such as /dev/null, /dev/stdout or a FIFO, are written in
-    place.
+    directory, with the mode `open(path, "w")` gives. Only after the body
+    has written them all are the temporary files renamed over their
+    targets; a failure before that removes every one and leaves each old
+    file as it was. Symlinks and other existing paths that are not regular
+    files, such as /dev/null, /dev/stdout or a FIFO, are written in place.
     """
-    if path == "-":
-        yield sys.stdout
-        return
+    staged = []  # (temporary file, target), renamed in order after the body
     try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if os.path.islink(path) or not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    directory, name = os.path.split(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
-    except OSError as exc:
-        exc.filename = path  # name the output, not the temporary file
-        raise
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            os.chmod(tmp, stat.S_IMODE(mode))
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        with contextlib.ExitStack() as stack:
+            sinks = []
+            for path in paths:
+                if path is None or path == "-":
+                    sinks.append(None if path is None else sys.stdout)
+                    continue
+                try:
+                    mode = os.stat(path).st_mode
+                except FileNotFoundError:
+                    umask = os.umask(0)
+                    os.umask(umask)
+                    mode = stat.S_IFREG | (0o666 & ~umask)
+                if os.path.islink(path) or not stat.S_ISREG(mode):
+                    sinks.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+                    continue
+                directory, name = os.path.split(os.path.abspath(path))
+                try:
+                    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+                except OSError as exc:
+                    exc.filename = path  # name the output, not the temporary file
+                    raise
+                staged.append((tmp, path))
+                sinks.append(stack.enter_context(open(fd, "w", encoding="utf-8", newline="")))
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield tuple(sinks)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
 
 
 def _unwritable(path: str, directory: bool) -> str | None:
@@ -197,12 +209,10 @@ def _cmd_arc(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     text = inputs.read_text(args.story)
     series = arc_mod.arc_from_text(text, lexicon, smooth_fraction=args.smooth_fraction)
-    with _open_out(args.out) as fh:
-        serialize.write_arc_csv(series, fh)
-    if args.windows_out:
-        summary = arc_mod.window_summary(series, args.window)
-        with _open_out(args.windows_out) as fh:
-            serialize.write_window_csv(summary, fh)
+    with _open_out(args.out, args.windows_out) as (out, windows):
+        serialize.write_arc_csv(series, out)
+        if args.windows_out:
+            serialize.write_window_csv(arc_mod.window_summary(series, args.window), windows)
     return 0
 
 
@@ -217,11 +227,10 @@ def _cmd_hurst(args) -> int:
     else:
         values = serialize.read_series(inputs.read_text(args.series), args.series)
     result = estimate_hurst(values, args.order)
-    with _open_out(args.out) as fh:
-        fh.write(serialize.hurst_json(result))
-    if args.points_out:
-        with _open_out(args.points_out) as fh:
-            serialize.write_points_csv(result, fh)
+    with _open_out(args.out, args.points_out) as (out, points):
+        out.write(serialize.hurst_json(result))
+        if args.points_out:
+            serialize.write_points_csv(result, points)
     return 0
 
 
@@ -257,14 +266,12 @@ def _cmd_analyze(args) -> int:
     # every output is computed before the first file is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _open_out(out_dir / "results.csv") as fh:
-        serialize.write_results_csv(records, fh)
-    with _open_out(out_dir / "scatter.csv") as fh:
-        serialize.write_scatter_csv(records, fh)
-    with _open_out(out_dir / "ratings_scatter.csv") as fh:
-        serialize.write_ratings_scatter_csv(records, fh)
-    with _open_out(out_dir / "report.json") as fh:
-        fh.write(serialize.reports_json(reports))
+    outputs = _open_out(*(out_dir / name for name in ANALYZE_FILES))
+    with outputs as (results, scatter, ratings_scatter, report):
+        serialize.write_results_csv(records, results)
+        serialize.write_scatter_csv(records, scatter)
+        serialize.write_ratings_scatter_csv(records, ratings_scatter)
+        report.write(serialize.reports_json(reports))
     return 0
 
 
@@ -285,8 +292,8 @@ def _cmd_correlate(args) -> int:
             )
         except SentarcError as exc:
             raise SentarcError(f"threshold {threshold}: {exc}") from exc
-    with _open_out(args.out) as fh:
-        fh.write(serialize.reports_json(reports))
+    with _open_out(args.out) as (out,):
+        out.write(serialize.reports_json(reports))
     return 0
 
 
@@ -301,18 +308,17 @@ def _cmd_cluster(args) -> int:
             continue
         arcs[story.id] = series
     labels, merges = arc_mod.cluster_arcs(arcs, args.k)
-    with _open_out(args.out) as fh:
-        serialize.write_labels_csv(labels, fh)
-    if args.tree_out:
-        with _open_out(args.tree_out) as fh:
-            serialize.write_merges_csv(merges, fh)
+    with _open_out(args.out, args.tree_out) as (out, tree):
+        serialize.write_labels_csv(labels, out)
+        if args.tree_out:
+            serialize.write_merges_csv(merges, tree)
     return 0
 
 
 def _cmd_synth(args) -> int:
     values = fgn(SynthSpec(target_h=args.h, n=args.n, seed=args.seed))
-    with _open_out(args.out) as fh:
-        serialize.write_series_csv(values, fh)
+    with _open_out(args.out) as (out,):
+        serialize.write_series_csv(values, out)
     return 0
 
 
@@ -506,8 +512,7 @@ def main(argv=None) -> int:
             path = getattr(args, name, None)
             if path in (None, "-"):
                 continue
-            reason = _unwritable(path, directory=args.command == "analyze")
-            if reason:
+            if reason := _unwritable(path, directory=args.command == "analyze"):
                 raise SentarcError(f"cannot write {path}: {reason}")
             # a device such as /dev/null takes any number of writes
             if os.path.exists(path) and not os.path.isfile(path):
@@ -516,6 +521,10 @@ def main(argv=None) -> int:
             if first != name:
                 flags = " and ".join("--" + n.replace("_", "-") for n in (first, name))
                 raise SentarcError(f"{flags} both name {path}: the second would replace the first")
+        if args.command == "analyze" and os.path.isdir(args.out):
+            for path in (os.path.join(args.out, name) for name in ANALYZE_FILES):
+                if reason := _unwritable(path, directory=False):
+                    raise SentarcError(f"cannot write {path}: {reason}")
         return args.func(args)
     except (SentarcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -587,8 +587,57 @@ def test_analyze_failed_write_keeps_previous_file(
     assert code == 1
     assert "disk full" in err
     assert (out_dir / "scatter.csv").read_text() == "previous study\n"
-    # results.csv was complete before the failure, so it was renamed in
-    assert sorted(p.name for p in out_dir.iterdir()) == ["results.csv", "scatter.csv"]
+    # the four files are replaced as one set, so the complete results.csv
+    # is discarded with the rest
+    assert sorted(p.name for p in out_dir.iterdir()) == ["scatter.csv"]
+
+
+@pytest.mark.parametrize("command", ["arc", "hurst", "cluster", "analyze"])
+def test_failed_last_write_keeps_every_old_file(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command
+):
+    corpus, ratings = small_corpus
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    story_input = [str(corpus / "alpha.txt"), "--lexicon", str(lexicon_path)]
+    corpus_input = ["--corpus", str(corpus), "--lexicon", str(lexicon_path)]
+    names, argv = {
+        "arc": (["arc.csv", "windows.csv"], ["arc", *story_input, "--windows-out"]),
+        "hurst": (["hurst.json", "points.csv"], ["hurst", *story_input, "--points-out"]),
+        "cluster": (["labels.csv", "tree.csv"], ["cluster", *corpus_input, "--k", "2", "--tree-out"]),
+        "analyze": (
+            ["results.csv", "scatter.csv", "ratings_scatter.csv", "report.json"],
+            ["analyze", *corpus_input, "--ratings"],
+        ),
+    }[command]
+    if command == "analyze":
+        argv += [str(ratings), "--jobs", "1", "--out", str(out_dir)]
+    else:
+        argv += [str(out_dir / names[1]), "--out", str(out_dir / names[0])]
+    for name in names:
+        (out_dir / name).write_text(f"old {name}\n")
+    opened = []
+
+    def open_filling_disk(file, *args, **kwargs):
+        # the last output's handle takes half of its first write, then fails
+        fh = open(file, *args, **kwargs)
+        opened.append(fh)
+        if len(opened) == len(names):
+
+            def write(text):
+                type(fh).write(fh, text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli_mod, "open", open_filling_disk, raising=False)
+    full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert run_cli(argv, capsys) == (1, "", f"error: {full}\n")
+    assert len(opened) == len(names)
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+    for name in names:
+        assert (out_dir / name).read_text() == f"old {name}\n"
 
 
 # ----------------------------------------------------------------- outputs
@@ -598,7 +647,7 @@ def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("old bytes\n")
     with pytest.raises(RuntimeError):
-        with _open_out(target) as fh:
+        with _open_out(target) as (fh,):
             fh.write("half a fi")
             raise RuntimeError("crash mid-write")
     assert target.read_text() == "old bytes\n"
@@ -608,12 +657,12 @@ def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
 def test_open_out_mode_matches_plain_open(tmp_path):
     old_umask = os.umask(0o027)
     try:
-        with _open_out(tmp_path / "new.csv") as fh:
+        with _open_out(tmp_path / "new.csv") as (fh,):
             fh.write("x\n")
         existing = tmp_path / "existing.csv"
         existing.write_text("old\n")
         existing.chmod(0o604)
-        with _open_out(existing) as fh:
+        with _open_out(existing) as (fh,):
             fh.write("new\n")
     finally:
         os.umask(old_umask)
@@ -627,10 +676,30 @@ def test_open_out_writes_through_a_symlink(tmp_path):
     real.write_text("old\n")
     link = tmp_path / "link.csv"
     link.symlink_to(real)
-    with _open_out(link) as fh:
+    with _open_out(link) as (fh,):
         fh.write("new\n")
     assert link.is_symlink()
     assert real.read_text() == "new\n"
+
+
+def test_open_out_failed_second_temporary_leaves_no_first(tmp_path, monkeypatch):
+    mkstemp = tempfile.mkstemp
+    calls = []
+
+    def mkstemp_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp_once)
+    (tmp_path / "second.csv").write_text("old bytes\n")
+    with pytest.raises(OSError) as raised:
+        with _open_out(tmp_path / "first.csv", tmp_path / "second.csv"):
+            raise AssertionError("the body ran")
+    assert raised.value.filename == tmp_path / "second.csv"
+    assert [p.name for p in tmp_path.iterdir()] == ["second.csv"]
+    assert (tmp_path / "second.csv").read_text() == "old bytes\n"
 
 
 def test_out_dev_null_still_written_in_place(tmp_path, capsys):
@@ -698,22 +767,25 @@ def test_out_in_missing_directory_names_the_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flag, target, code",
+    "command, flag, target, named, code",
     [
-        ("cluster", "--tree-out", "no_such_dir/tree.csv", errno.ENOENT),
-        ("hurst", "--points-out", "file.txt/points.csv", errno.ENOTDIR),
-        ("cluster", "--out", "dir", errno.EISDIR),
-        ("analyze", "--out", "file.txt", errno.ENOTDIR),
+        ("cluster", "--tree-out", "no_such_dir/tree.csv", "", errno.ENOENT),
+        ("hurst", "--points-out", "file.txt/points.csv", "", errno.ENOTDIR),
+        ("cluster", "--out", "dir", "", errno.EISDIR),
+        ("analyze", "--out", "file.txt", "", errno.ENOTDIR),
+        # each of analyze's four files is checked when --out exists
+        ("analyze", "--out", "study", "report.json", errno.EISDIR),
     ],
     ids=["missing-directory", "directory-is-a-file", "file-output-is-a-directory",
-         "analyze-out-is-a-file"],
+         "analyze-out-is-a-file", "analyze-report-is-a-directory"],
 )
 def test_unwritable_output_exit_1_before_any_input_is_read(
-    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command, flag, target, code
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command, flag, target, named, code
 ):
     corpus, ratings = small_corpus
     (tmp_path / "file.txt").write_text("old bytes\n")
     (tmp_path / "dir").mkdir()
+    (tmp_path / "study" / "report.json").mkdir(parents=True)
     series = tmp_path / "series.csv"
     series.write_text("\n".join(map(str, range(200))) + "\n")
 
@@ -732,7 +804,7 @@ def test_unwritable_output_exit_1_before_any_input_is_read(
     }[command] + [flag, str(tmp_path / target)]
     before = sorted(p.name for p in tmp_path.iterdir())
     assert run_cli(argv, capsys) == (
-        1, "", f"error: cannot write {tmp_path / target}: {os.strerror(code)}\n"
+        1, "", f"error: cannot write {tmp_path / target / named}: {os.strerror(code)}\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert (tmp_path / "file.txt").read_text() == "old bytes\n"
