@@ -41,9 +41,11 @@ MIN_WINDOWS_FOR_FIT = 5
 # (Pearson's denominator, the distance variances) of two inputs at its edge.
 _UNSCALED_PEAK = (2.0**-200, 2.0**200)
 
-# Bounds the fit operators kept per process; the seed-1 study workload run
-# in one process meets 722 distinct (w, order) keys.
-_FIT_OPERATOR_CACHE_SIZE = 1024
+# Bounds the fit operators kept per process. The seed-1 study workload run
+# in one process meets 722 distinct (w, order) keys, 344 of them only once;
+# 256 entries keep 6,190 of the 6,621 hits that room for all 722 would give,
+# for about 18 MB less peak memory, and the estimates are the same bits.
+_FIT_OPERATOR_CACHE_SIZE = 256
 
 # Cells of one row chunk of the trend products. Below this size OpenBLAS
 # runs a product on one thread, so the fits have the same bits at any

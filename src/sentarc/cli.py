@@ -99,10 +99,13 @@ def _unwritable(path: str, directory: bool) -> str | None:
     """Why the output `path` cannot be written, as the OS words it, or
     None. A file output must not be a directory, and a new one needs an
     existing directory; a `directory` output must be a directory when it
-    exists, and a new one is made, parents and all, after the work."""
+    exists, and a new one is made, parents and all, after the work. A
+    symlink is judged by its target."""
     try:
         is_dir = stat.S_ISDIR(os.stat(path).st_mode)
     except FileNotFoundError:
+        if os.path.islink(path):  # one whose target is missing
+            path = os.path.realpath(path)
         if directory or os.path.isdir(os.path.dirname(path) or "."):
             return None
         return os.strerror(errno.ENOENT)
@@ -164,7 +167,7 @@ def _add_jobs_flag(parser) -> None:
     parser.add_argument(
         "--jobs",
         type=_int_at_least(1),
-        default=os.cpu_count() or 1,
+        default=corpus_mod.usable_cpus(),
         help="worker processes over the stories, at least 1 (default: logical "
         "cores); outputs are the same at any value",
     )
@@ -205,18 +208,23 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
     )
 
 
-def _cmd_arc(args) -> int:
+# Each `_cmd_*` reads its inputs and does its work, then yields its outputs
+# as (path, writer) pairs: `path` is None for an output not asked for, and
+# `writer(sink)` writes the output to an open text sink. `main` opens no
+# output before the command has yielded them all.
+
+
+def _cmd_arc(args):
     lexicon = load_lexicon(args.lexicon)
     text = inputs.read_text(args.story)
     series = arc_mod.arc_from_text(text, lexicon, smooth_fraction=args.smooth_fraction)
-    with _open_out(args.out, args.windows_out) as (out, windows):
-        serialize.write_arc_csv(series, out)
-        if args.windows_out:
-            serialize.write_window_csv(arc_mod.window_summary(series, args.window), windows)
-    return 0
+    yield args.out, lambda out: serialize.write_arc_csv(series, out)
+    yield args.windows_out, lambda out: serialize.write_window_csv(
+        arc_mod.window_summary(series, args.window), out
+    )
 
 
-def _cmd_hurst(args) -> int:
+def _cmd_hurst(args):
     if (args.story is None) == (args.series is None):
         raise SentarcError("give exactly one of a story file or --series")
     if args.story is not None:
@@ -227,14 +235,11 @@ def _cmd_hurst(args) -> int:
     else:
         values = serialize.read_series(inputs.read_text(args.series), args.series)
     result = estimate_hurst(values, args.order)
-    with _open_out(args.out, args.points_out) as (out, points):
-        out.write(serialize.hurst_json(result))
-        if args.points_out:
-            serialize.write_points_csv(result, points)
-    return 0
+    yield args.out, lambda out: out.write(serialize.hurst_json(result))
+    yield args.points_out, lambda out: serialize.write_points_csv(result, out)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     lexicon = load_lexicon(args.lexicon)
     stories = corpus_mod.load_corpus(args.corpus)
     ratings = corpus_mod.load_ratings(args.ratings)
@@ -263,19 +268,17 @@ def _cmd_analyze(args) -> int:
         except SentarcError as exc:
             log.warning("threshold %d skipped: %s", threshold, exc)
 
-    # every output is computed before the first file is written
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _open_out(*(out_dir / name for name in ANALYZE_FILES))
-    with outputs as (results, scatter, ratings_scatter, report):
-        serialize.write_results_csv(records, results)
-        serialize.write_scatter_csv(records, scatter)
-        serialize.write_ratings_scatter_csv(records, ratings_scatter)
-        report.write(serialize.reports_json(reports))
-    return 0
+    # a symlink to a missing directory is written through: its target is made
+    (out_dir.resolve() if out_dir.is_symlink() else out_dir).mkdir(parents=True, exist_ok=True)
+    results, scatter, ratings_scatter, report = (out_dir / name for name in ANALYZE_FILES)
+    yield results, lambda out: serialize.write_results_csv(records, out)
+    yield scatter, lambda out: serialize.write_scatter_csv(records, out)
+    yield ratings_scatter, lambda out: serialize.write_ratings_scatter_csv(records, out)
+    yield report, lambda out: out.write(serialize.reports_json(reports))
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_correlate(args):
     text = inputs.read_text(args.results)
     records = serialize.read_results_csv(text, args.results)
     thresholds = sorted(set(args.min_ratings if args.min_ratings else [30]))
@@ -292,12 +295,10 @@ def _cmd_correlate(args) -> int:
             )
         except SentarcError as exc:
             raise SentarcError(f"threshold {threshold}: {exc}") from exc
-    with _open_out(args.out) as (out,):
-        out.write(serialize.reports_json(reports))
-    return 0
+    yield args.out, lambda out: out.write(serialize.reports_json(reports))
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_cluster(args):
     lexicon = load_lexicon(args.lexicon)
     stories = corpus_mod.load_corpus(args.corpus)
     arcs = {}
@@ -308,18 +309,13 @@ def _cmd_cluster(args) -> int:
             continue
         arcs[story.id] = series
     labels, merges = arc_mod.cluster_arcs(arcs, args.k)
-    with _open_out(args.out, args.tree_out) as (out, tree):
-        serialize.write_labels_csv(labels, out)
-        if args.tree_out:
-            serialize.write_merges_csv(merges, tree)
-    return 0
+    yield args.out, lambda out: serialize.write_labels_csv(labels, out)
+    yield args.tree_out, lambda out: serialize.write_merges_csv(merges, out)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args):
     values = fgn(SynthSpec(target_h=args.h, n=args.n, seed=args.seed))
-    with _open_out(args.out) as (out,):
-        serialize.write_series_csv(values, out)
-    return 0
+    yield args.out, lambda out: serialize.write_series_csv(values, out)
 
 
 def build_parser() -> _Parser:
@@ -525,7 +521,12 @@ def main(argv=None) -> int:
             for path in (os.path.join(args.out, name) for name in ANALYZE_FILES):
                 if reason := _unwritable(path, directory=False):
                     raise SentarcError(f"cannot write {path}: {reason}")
-        return args.func(args)
+        outputs = list(args.func(args))
+        with _open_out(*(path for path, _ in outputs)) as sinks:
+            for (_, write), sink in zip(outputs, sinks):
+                if sink is not None:
+                    write(sink)
+        return 0
     except (SentarcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ estimator rejects keep a reason-coded record rather than disappearing.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -184,20 +185,29 @@ def _run_worker(index: int):
     return fn(corpus[index], *args)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else the logical cores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
     """`fn(story, *args)` for every story, in corpus order.
 
     Stories go to worker processes in chunks of four, over at most `jobs`
-    workers and never more than there are chunks; when that leaves one
-    worker, the stories run in this process. Workers receive `fn`, the
-    corpus and `args` once, at start-up, and each task is a story's index
-    into the corpus. Under the fork start method the workers inherit the
-    corpus, so no story is pickled and no text gains the UTF-8 copy that
-    CPython caches in a str pickled with characters above U+00FF. Under
-    spawn or forkserver the corpus is pickled once per worker at start-up.
+    workers, never more than `usable_cpus()` and never more than there are
+    chunks; when that leaves one worker, the stories run in this process.
+    Workers receive `fn`, the corpus and `args` once, at start-up, and
+    each task is a story's index into the corpus. Under the fork start
+    method the workers inherit the corpus, so no story is pickled and no
+    text gains the UTF-8 copy that CPython caches in a str pickled with
+    characters above U+00FF. Under spawn or forkserver the corpus is
+    pickled once per worker at start-up.
     """
     chunk = 4
-    workers = min(jobs, -(-len(corpus) // chunk))
+    workers = min(jobs, usable_cpus(), -(-len(corpus) // chunk))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers,

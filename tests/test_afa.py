@@ -254,6 +254,19 @@ def test_cached_fit_operators_are_read_only():
     assert _fit_operators.cache_info().maxsize is not None
 
 
+def test_estimates_same_bits_through_an_evicting_cache(monkeypatch):
+    rng = np.random.default_rng(7)
+    series = [rng.normal(size=n) for n in range(60, 6000, 150)]
+    _fit_operators.cache_clear()
+    cached = [estimate_hurst(x, order) for x in series for order in (1, 2)]
+    info = _fit_operators.cache_info()
+    assert info.misses > info.maxsize  # so entries were evicted on the way
+    monkeypatch.setattr(afa_mod, "_fit_operators", _fit_operators.__wrapped__)
+    uncached = [estimate_hurst(x, order) for x in series for order in (1, 2)]
+    # repr round-trips every float exactly, so equal text means equal bits
+    assert repr(uncached) == repr(cached)
+
+
 def test_trend_rejects_even_window():
     with pytest.raises(ValueError):
         global_trend(np.arange(30.0), 6)

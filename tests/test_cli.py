@@ -564,6 +564,14 @@ def test_analyze_rejects_nonpositive_jobs(
     assert not out_dir.exists()
 
 
+def test_jobs_default_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    parser = build_parser()
+    analyze = ["analyze", "--corpus", "c", "--lexicon", "l", "--ratings", "r", "--out", "o"]
+    assert parser.parse_args(analyze).jobs == 1
+    assert parser.parse_args(["cluster", "--corpus", "c", "--lexicon", "l", "--k", "2"]).jobs == 1
+
+
 def test_analyze_failed_write_keeps_previous_file(
     tmp_path, lexicon_path, small_corpus, capsys, monkeypatch
 ):
@@ -808,6 +816,40 @@ def test_unwritable_output_exit_1_before_any_input_is_read(
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert (tmp_path / "file.txt").read_text() == "old bytes\n"
+
+
+def test_out_symlink_to_missing_directory_exit_1_before_the_work(
+    tmp_path, capsys, monkeypatch
+):
+    def spy(*args, **kwargs):
+        raise AssertionError("the series was generated")
+
+    monkeypatch.setattr(cli_mod, "fgn", spy)
+    monkeypatch.chdir(tmp_path)
+    Path("out.csv").symlink_to(Path("missing") / "out.csv")
+    code, out, err = run_cli(["synth", "--h", "0.7", "--n", "64", "--out", "out.csv"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write out.csv: {os.strerror(errno.ENOENT)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_analyze_out_symlink_to_missing_directory_written_through(
+    tmp_path, lexicon_path, small_corpus, capsys
+):
+    corpus, ratings = small_corpus
+    target = tmp_path / "missing" / "study"
+    link = tmp_path / "outdir"
+    link.symlink_to(target)
+    argv = ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings), "--jobs", "1"]
+    code, _, err = run_cli([*argv, "--out", str(link)], capsys)
+    assert code == 0, err
+    assert link.is_symlink()
+    assert sorted(p.name for p in target.iterdir()) == sorted(cli_mod.ANALYZE_FILES)
+    plain = tmp_path / "plain"
+    assert run_cli([*argv, "--out", str(plain)], capsys)[0] == 0
+    for name in cli_mod.ANALYZE_FILES:
+        assert (target / name).read_bytes() == (plain / name).read_bytes()
 
 
 # --------------------------------------------------------------- correlate

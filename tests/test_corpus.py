@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -363,19 +364,31 @@ class FakePool:
         return map(fn, items)
 
 
+def pool_sizes(monkeypatch, n_stories, jobs, cpus):
+    """The pool sizes `_map_stories` asks for over `n_stories` stories at
+    `jobs`, with `cpus` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(corpus_mod, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(corpus_mod, "_WORKER_TASK", None)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    stories = [Story(id=f"s{i}", title="", text="") for i in range(n_stories)]
+    got = corpus_mod._map_stories(lambda story, tag: (story.id, tag), stories, jobs, "t")
+    assert got == [(s.id, "t") for s in stories]
+    return FakePool.sizes
+
+
 @pytest.mark.parametrize(
     "n_stories,jobs,workers",
     [(3, 64, None), (4, 2, None), (5, 1, None), (5, 2, 2), (8, 64, 2), (9, 64, 3), (600, 2, 2)],
 )
 def test_pool_sized_by_its_chunks(monkeypatch, n_stories, jobs, workers):
-    monkeypatch.setattr(corpus_mod, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(corpus_mod, "_WORKER_TASK", None)
-    monkeypatch.setattr(FakePool, "sizes", [])
-    stories = [Story(id=f"s{i}", title="", text="") for i in range(n_stories)]
-    got = corpus_mod._map_stories(lambda story, tag: (story.id, tag), stories, jobs, "t")
-    assert got == [(s.id, "t") for s in stories]
     # min(jobs, chunks of four); one worker means no pool at all
-    assert FakePool.sizes == ([] if workers is None else [workers])
+    assert pool_sizes(monkeypatch, n_stories, jobs, cpus=64) == ([] if workers is None else [workers])
+
+
+def test_pool_capped_by_usable_cpus(monkeypatch):
+    # the affinity mask, not --jobs or the machine's cores, bounds the pool
+    assert pool_sizes(monkeypatch, 600, jobs=8, cpus=2) == [2]
 
 
 def test_build_arcs_same_at_any_jobs(tmp_path, graded_lex):

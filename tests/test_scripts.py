@@ -1,8 +1,11 @@
 import csv
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import same_bytes
+import sentarc
 from conftest import package_env
 from sentarc.cli import main
 
@@ -47,3 +50,27 @@ def test_demo_corpus_analyzes(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["id"] for r in rows] == [f"tale_{i:03d}" for i in range(6)]
     assert all(r["status"] == "ok" for r in rows)
+
+
+# small enough that both sides of the matrix run in seconds
+SMALL = {"study": 40, "cluster": 30, "correlate": 300, "n": 4096, "pairs": 1}
+
+
+def test_same_bytes_passes_a_tree_against_itself(capsys):
+    src = str(Path(sentarc.__file__).parents[1])
+    assert same_bytes.main([src, src, "--seeds", "0"], sizes=SMALL) == 0
+    assert capsys.readouterr().out.startswith("seed 0: ")
+
+
+def test_same_bytes_names_the_first_file_that_differs(tmp_path, capsys):
+    src = tmp_path / "src"
+    shutil.copytree(Path(sentarc.__file__).parents[1], src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    serialize = src / "sentarc" / "serialize.py"
+    text = serialize.read_text()
+    assert text.count('format(float(value), ".17g")') == 1
+    serialize.write_text(text.replace('format(float(value), ".17g")', 'format(float(value), ".16g")'))
+    parent = str(Path(sentarc.__file__).parents[1])
+    assert same_bytes.main([parent, str(src), "--seeds", "0"], sizes=SMALL) == 1
+    out = capsys.readouterr().out
+    assert "results.csv:2: parent " in out
