@@ -22,7 +22,6 @@ import os
 import stat
 import sys
 import tempfile
-from pathlib import Path
 
 from . import __version__
 from . import arc as arc_mod
@@ -48,25 +47,27 @@ class _Parser(argparse.ArgumentParser):
 ANALYZE_FILES = ("results.csv", "scatter.csv", "ratings_scatter.csv", "report.json")
 
 
-@contextlib.contextmanager
-def _open_out(*paths: str | os.PathLike | None):
-    """Text sinks for a command's outputs, one per path: `-` gives stdout
-    and None gives None.
+def _write_outputs(outputs) -> None:
+    """Write a command's (path, writer) pairs: each writer writes to its
+    path's text sink, stdout for `-`; a None path is an output not asked for.
 
-    A new or regular file is written through a temporary file in its
-    directory, with the mode `open(path, "w")` gives. Only after the body
-    has written them all are the temporary files renamed over their
-    targets; a failure before that removes every one and leaves each old
-    file as it was. Symlinks and other existing paths that are not regular
-    files, such as /dev/null, /dev/stdout or a FIFO, are written in place.
+    Every sink is opened before the first writer runs. A new or regular
+    file goes to a temporary file in its resolved directory, made if it is
+    missing, with the mode `open(path, "w")` gives. The temporary files
+    are renamed over their targets only after the last writer has run; a
+    failure before that removes every one and leaves each old file as it
+    was. Symlinks and other existing paths that are not regular files,
+    such as /dev/null, /dev/stdout or a FIFO, are written in place.
     """
-    staged = []  # (temporary file, target), renamed in order after the body
+    staged = []  # (temporary file, target), renamed in order after the writers
     try:
         with contextlib.ExitStack() as stack:
-            sinks = []
-            for path in paths:
-                if path is None or path == "-":
-                    sinks.append(None if path is None else sys.stdout)
+            writes = []
+            for path, write in outputs:
+                if path is None:
+                    continue
+                if path == "-":
+                    writes.append((write, sys.stdout))
                     continue
                 try:
                     mode = os.stat(path).st_mode
@@ -75,18 +76,23 @@ def _open_out(*paths: str | os.PathLike | None):
                     os.umask(umask)
                     mode = stat.S_IFREG | (0o666 & ~umask)
                 if os.path.islink(path) or not stat.S_ISREG(mode):
-                    sinks.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+                    sink = open(path, "w", encoding="utf-8", newline="")
+                    writes.append((write, stack.enter_context(sink)))
                     continue
-                directory, name = os.path.split(os.path.abspath(path))
+                target = os.path.realpath(path)
+                directory, name = os.path.split(target)
                 try:
+                    os.makedirs(directory, exist_ok=True)
                     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
                 except OSError as exc:
                     exc.filename = path  # name the output, not the temporary file
                     raise
-                staged.append((tmp, path))
-                sinks.append(stack.enter_context(open(fd, "w", encoding="utf-8", newline="")))
+                staged.append((tmp, target))
+                sink = open(fd, "w", encoding="utf-8", newline="")
+                writes.append((write, stack.enter_context(sink)))
                 os.chmod(tmp, stat.S_IMODE(mode))
-            yield tuple(sinks)
+            for write, sink in writes:
+                write(sink)
         while staged:
             os.replace(*staged[0])
             del staged[0]
@@ -99,21 +105,29 @@ def _unwritable(path: str, directory: bool) -> str | None:
     """Why the output `path` cannot be written, as the OS words it, or
     None. A file output must not be a directory, and a new one needs an
     existing directory; a `directory` output must be a directory when it
-    exists, and a new one is made, parents and all, after the work. A
-    symlink is judged by its target."""
+    exists, and a new one is made by `_write_outputs`. A missing output is
+    judged by its resolved path, so a symlink by its target. The write
+    must also be permitted: a file written in place needs write access to
+    itself, and a staged file, or a directory output, to its directory."""
     try:
-        is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        if os.path.islink(path):  # one whose target is missing
-            path = os.path.realpath(path)
-        if directory or os.path.isdir(os.path.dirname(path) or "."):
+        if directory:
             return None
-        return os.strerror(errno.ENOENT)
+        mode = None
     except OSError as exc:
         return exc.strerror  # a file on the way to it, say
-    if is_dir != directory:
+    if mode is not None and stat.S_ISDIR(mode) != directory:
         return os.strerror(errno.ENOTDIR if directory else errno.EISDIR)
-    return None
+    if directory:
+        where, needed = path, os.W_OK | os.X_OK
+    elif mode is not None and (os.path.islink(path) or not stat.S_ISREG(mode)):
+        where, needed = path, os.W_OK  # written in place
+    else:
+        where, needed = os.path.dirname(os.path.realpath(path)), os.W_OK | os.X_OK
+        if not os.path.isdir(where):
+            return os.strerror(errno.ENOENT)
+    return None if os.access(where, needed) else os.strerror(errno.EACCES)
 
 
 def _checked(cast, valid, rule: str):
@@ -168,8 +182,8 @@ def _add_jobs_flag(parser) -> None:
         "--jobs",
         type=_int_at_least(1),
         default=corpus_mod.usable_cpus(),
-        help="worker processes over the stories, at least 1 (default: logical "
-        "cores); outputs are the same at any value",
+        help="worker processes over the stories, at least 1 (default: the CPUs "
+        "this process may run on); outputs are the same at any value",
     )
 
 
@@ -210,8 +224,8 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
 
 # Each `_cmd_*` reads its inputs and does its work, then yields its outputs
 # as (path, writer) pairs: `path` is None for an output not asked for, and
-# `writer(sink)` writes the output to an open text sink. `main` opens no
-# output before the command has yielded them all.
+# `writer(sink)` writes the output to an open text sink. No command touches
+# its outputs' filesystem: `main` writes the pairs once all are yielded.
 
 
 def _cmd_arc(args):
@@ -268,10 +282,7 @@ def _cmd_analyze(args):
         except SentarcError as exc:
             log.warning("threshold %d skipped: %s", threshold, exc)
 
-    out_dir = Path(args.out)
-    # a symlink to a missing directory is written through: its target is made
-    (out_dir.resolve() if out_dir.is_symlink() else out_dir).mkdir(parents=True, exist_ok=True)
-    results, scatter, ratings_scatter, report = (out_dir / name for name in ANALYZE_FILES)
+    results, scatter, ratings_scatter, report = (os.path.join(args.out, n) for n in ANALYZE_FILES)
     yield results, lambda out: serialize.write_results_csv(records, out)
     yield scatter, lambda out: serialize.write_scatter_csv(records, out)
     yield ratings_scatter, lambda out: serialize.write_ratings_scatter_csv(records, out)
@@ -521,11 +532,7 @@ def main(argv=None) -> int:
             for path in (os.path.join(args.out, name) for name in ANALYZE_FILES):
                 if reason := _unwritable(path, directory=False):
                     raise SentarcError(f"cannot write {path}: {reason}")
-        outputs = list(args.func(args))
-        with _open_out(*(path for path, _ in outputs)) as sinks:
-            for (_, write), sink in zip(outputs, sinks):
-                if sink is not None:
-                    write(sink)
+        _write_outputs(list(args.func(args)))
         return 0
     except (SentarcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

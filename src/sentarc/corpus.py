@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import os
+import unicodedata
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -98,26 +99,32 @@ def _title_from_stem(stem: str) -> str:
 def load_corpus(directory) -> list[Story]:
     """Every `*.txt` file in the directory, as stories in id order.
 
-    The id is the file stem. Files that cannot be read or fail UTF-8
-    decoding are logged and skipped.
+    The id is the file stem in NFC, the form `read_text` gives every text
+    it is matched against. Files that cannot be read or fail UTF-8
+    decoding are logged and skipped, and so is a file whose id an earlier
+    file in (id, file name) order already has.
     """
     root = Path(directory)
     if not root.is_dir():
         raise SentarcError(f"not a directory: {directory}")
     try:
-        paths = sorted(root.glob("*.txt"), key=lambda p: p.stem)
+        paths = root.glob("*.txt")
+        named = sorted((unicodedata.normalize("NFC", p.stem), p.name, p) for p in paths)
     except OSError as exc:
         raise SentarcError(f"cannot read corpus directory {directory}: {exc}") from exc
 
-    stories = []
-    for path in paths:
+    stories = {}
+    for story_id, _, path in named:
+        if story_id in stories:
+            log.warning("%s: duplicate id %r, skipped", path, story_id)
+            continue
         try:
             text = read_text(path)
         except SentarcError as exc:
             log.warning("%s, skipped", exc)
             continue
-        stories.append(Story(id=path.stem, title=_title_from_stem(path.stem), text=text))
-    return stories
+        stories[story_id] = Story(id=story_id, title=_title_from_stem(story_id), text=text)
+    return list(stories.values())
 
 
 def load_ratings(path) -> list[RatingRecord]:

@@ -2,6 +2,9 @@
 
 Each input is UTF-8, and one leading byte-order mark (U+FEFF) is dropped,
 as Gutenberg texts and spreadsheet "CSV UTF-8" exports often carry one.
+The text is then put in Unicode normal form C (NFC), so a word, an id or
+a lexicon entry matches whether its file stored letters composed or
+decomposed.
 The path `-` names stdin, read as bytes and decoded the same way. Lines
 end at "\\n", "\\r\\n" or "\\r", the line ends the csv module counts, so a
 line number means the same physical line in every reader.
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
+import unicodedata
 from pathlib import Path
 from typing import Iterator
 
@@ -19,7 +23,8 @@ from .errors import SentarcError
 
 
 def read_text(path) -> str:
-    """The text of the file at `path`, or of stdin when `path` is `-`.
+    """The text of the file at `path`, or of stdin when `path` is `-`, in
+    NFC.
 
     A missing file raises SentarcError as "no such file: PATH"; any other
     read or decode failure as "cannot read PATH: reason".
@@ -31,7 +36,7 @@ def read_text(path) -> str:
         raise SentarcError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise SentarcError(f"cannot read {path}: {exc}") from exc
-    return text.removeprefix("\ufeff")
+    return unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
 
 
 def lines(text: str) -> list[str]:

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from sentarc import (
 from sentarc import cli as cli_mod
 from sentarc import corpus as corpus_mod
 from sentarc import inputs, serialize
-from sentarc.cli import _open_out, build_parser, main
+from sentarc.cli import _write_outputs, build_parser, main
 from sentarc.errors import SentarcError
 from sentarc.lexicon import load_lexicon
 
@@ -654,10 +655,13 @@ def test_failed_last_write_keeps_every_old_file(
 def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("old bytes\n")
+
+    def crash(fh):
+        fh.write("half a fi")
+        raise RuntimeError("crash mid-write")
+
     with pytest.raises(RuntimeError):
-        with _open_out(target) as (fh,):
-            fh.write("half a fi")
-            raise RuntimeError("crash mid-write")
+        _write_outputs([(target, crash)])
     assert target.read_text() == "old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -665,13 +669,11 @@ def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
 def test_open_out_mode_matches_plain_open(tmp_path):
     old_umask = os.umask(0o027)
     try:
-        with _open_out(tmp_path / "new.csv") as (fh,):
-            fh.write("x\n")
+        _write_outputs([(tmp_path / "new.csv", lambda fh: fh.write("x\n"))])
         existing = tmp_path / "existing.csv"
         existing.write_text("old\n")
         existing.chmod(0o604)
-        with _open_out(existing) as (fh,):
-            fh.write("new\n")
+        _write_outputs([(existing, lambda fh: fh.write("new\n"))])
     finally:
         os.umask(old_umask)
     assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
@@ -684,8 +686,7 @@ def test_open_out_writes_through_a_symlink(tmp_path):
     real.write_text("old\n")
     link = tmp_path / "link.csv"
     link.symlink_to(real)
-    with _open_out(link) as (fh,):
-        fh.write("new\n")
+    _write_outputs([(link, lambda fh: fh.write("new\n"))])
     assert link.is_symlink()
     assert real.read_text() == "new\n"
 
@@ -702,9 +703,11 @@ def test_open_out_failed_second_temporary_leaves_no_first(tmp_path, monkeypatch)
 
     monkeypatch.setattr(tempfile, "mkstemp", mkstemp_once)
     (tmp_path / "second.csv").write_text("old bytes\n")
+    def body(fh):
+        raise AssertionError("the body ran")
+
     with pytest.raises(OSError) as raised:
-        with _open_out(tmp_path / "first.csv", tmp_path / "second.csv"):
-            raise AssertionError("the body ran")
+        _write_outputs([(tmp_path / "first.csv", body), (tmp_path / "second.csv", body)])
     assert raised.value.filename == tmp_path / "second.csv"
     assert [p.name for p in tmp_path.iterdir()] == ["second.csv"]
     assert (tmp_path / "second.csv").read_text() == "old bytes\n"
@@ -850,6 +853,51 @@ def test_analyze_out_symlink_to_missing_directory_written_through(
     assert run_cli([*argv, "--out", str(plain)], capsys)[0] == 0
     for name in cli_mod.ANALYZE_FILES:
         assert (target / name).read_bytes() == (plain / name).read_bytes()
+
+
+def test_no_command_touches_the_filesystem_before_main_writes(
+    tmp_path, lexicon_path, small_corpus, capsys
+):
+    corpus, ratings = small_corpus
+    argv = ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings), "--jobs", "1", "--out", str(tmp_path / "new" / "deeper")]
+    outputs = list(cli_mod._cmd_analyze(build_parser().parse_args(argv)))
+    assert len(outputs) == len(cli_mod.ANALYZE_FILES)
+    assert not (tmp_path / "new").exists()
+    assert run_cli(argv, capsys)[0] == 0
+    written = sorted(p.name for p in (tmp_path / "new" / "deeper").iterdir())
+    assert written == sorted(cli_mod.ANALYZE_FILES)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root ignores mode bits"
+)
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_output_in_read_only_directory_exit_1_before_the_work(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command
+):
+    corpus, ratings = small_corpus
+    read_only = tmp_path / "ro"
+    read_only.mkdir()
+    read_only.chmod(0o555)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli_mod, "fgn", spy)
+    monkeypatch.setattr(corpus_mod, "load_corpus", spy)
+    argv, target = {
+        "synth": (["synth", "--h", "0.7", "--n", "64", "--out"], read_only / "out.csv"),
+        "analyze": (["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+                     "--ratings", str(ratings), "--out"], read_only),
+    }[command]
+    try:
+        assert run_cli([*argv, str(target)], capsys) == (
+            1, "", f"error: cannot write {target}: {os.strerror(errno.EACCES)}\n"
+        )
+        assert list(read_only.iterdir()) == []
+    finally:
+        read_only.chmod(0o755)
 
 
 # --------------------------------------------------------------- correlate
@@ -1276,13 +1324,14 @@ def _quoted(cell) -> str:
 def adversarial_studies(draw):
     """Files of a small study: {name: text} for the corpus, the lexicon
     text, the ratings text and the mapping text or None. Stems hold commas,
-    quotes, spaces, CR, LF and non-ASCII letters; texts CRLF, digits, ' and
-    U+2019; the lexicon maybe a header, a duplicate, rejected lines and a
-    BOM; the ratings quoted ids and titles, duplicate ids, out-of-range rows
+    quotes, spaces, CR, LF, non-ASCII letters and combining marks, so two
+    may be equal in NFC; texts CRLF, digits, ' and U+2019, maybe in NFD;
+    the lexicon maybe a header, a duplicate, rejected lines and a BOM; the
+    ratings quoted ids and titles, duplicate ids, out-of-range rows
     and maybe an unparsable one, which `analyze` must reject; the mapping
     quoted file ids, a repeated file id and ratings ids that match no
     rating."""
-    letters = st.sampled_from(list('ab, "\r\n') + ["é", "ß", "ж", "語"])
+    letters = st.sampled_from(list('ab, "\r\n') + ["é", "å", "ß", "ж", "語", "\u0301", "\u030a"])
     stem = st.text(letters, min_size=1, max_size=8)
     size = draw(st.sampled_from([8, 6, 7, 5, 4, 6, 5, 3, 2, 1, 0]))  # weighted toward a study
     stems = draw(st.lists(stem, min_size=size, max_size=size, unique=True))
@@ -1298,14 +1347,19 @@ def adversarial_studies(draw):
             words = ["gbw"] * n  # one valence
         else:
             words = fgn_token_text(0.6, 512, draw(st.integers(0, 99))).split()[:n]
-        sep = draw(st.sampled_from([" ", "\r\n", " 1999 ", " o'er ", " it’s "]))
-        corpus[f"{stem}.txt"] = sep.join(words + ["42", "o'er", "it’s"])
+        sep = draw(st.sampled_from([" ", "\r\n", " 1999 ", " o'er ", " it’s ", " blå "]))
+        text = sep.join(words + ["42", "o'er", "it’s"])
+        corpus[f"{stem}.txt"] = unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), text)
         if kind != "unrated":
             rows.append([stem, f"{stem}, “the” tale", *draw(valid)])
         if kind == "duplicate":
             rows.append([stem, "again", *draw(valid)])
         elif kind == "out of range":
             rows[-1][2:] = draw(st.sampled_from([(0.5, 40), (6.0, 40), (3.0, -1)]))
+    decomposed = [stem for stem in stems if unicodedata.normalize("NFD", stem) not in stems]
+    if decomposed and draw(st.booleans()):
+        # a second file whose stem is equal in NFC to another's, one skipped
+        corpus[unicodedata.normalize("NFD", decomposed[0]) + ".txt"] = "gaa gab"
     if draw(st.integers(0, 4)) == 4:
         rows.append(["garbled", "G", "n/a", 5])
     ratings = "id,title,avg_rating,n_ratings\n"
@@ -1762,6 +1816,30 @@ def test_arc_ignores_a_bom(tmp_path, lexicon_path, capsys):
         assert code == 0, err
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_arc_same_bytes_for_nfd_and_nfc_copies(tmp_path, capsys):
+    # decomposed, "bl\u00e5" would split at its combining ring and score as "bla"
+    lexicon = write_lexicon_file(tmp_path / "lexicon.tsv", ["bla\t0.95", "bl\u00e5\t0.3"])
+    text = "bl\u00e5 bla bl\u00e5 gaa"
+    outputs = []
+    for form in ("NFC", "NFD"):
+        story = write_story(tmp_path, form, unicodedata.normalize(form, text))
+        code, out, err = run_cli(["arc", str(story), "--lexicon", str(lexicon)], capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert [float(line.split(",")[1]) for line in outputs[0].splitlines()[1:4]] == [0.3, 0.95, 0.3]
+
+
+def test_nfd_lexicon_matches_nfc_text(tmp_path, capsys):
+    lexicon = write_lexicon_file(
+        tmp_path / "lexicon.tsv", [unicodedata.normalize("NFD", "\u00e9t\u00e9\t0.8")]
+    )
+    story = write_story(tmp_path, "tale", "\u00e9t\u00e9")
+    code, out, err = run_cli(["arc", str(story), "--lexicon", str(lexicon)], capsys)
+    assert code == 0, err
+    assert float(out.splitlines()[1].split(",")[1]) == 0.8
 
 
 def test_hurst_series_error_names_the_line_after_a_form_feed(tmp_path, capsys):

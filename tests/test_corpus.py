@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import unicodedata
 from dataclasses import fields, replace
 
 import numpy as np
@@ -88,6 +89,27 @@ def test_non_txt_files_ignored(tmp_path):
     write_story(tmp_path, "yes", "words here")
     (tmp_path / "no.md").write_text("ignored")
     assert [s.id for s in load_corpus(tmp_path)] == ["yes"]
+
+
+def test_nfd_stem_read_as_its_nfc_id(tmp_path):
+    nfc = "Nattergalen_p\u00e5_taget"
+    write_story(tmp_path, unicodedata.normalize("NFD", nfc), "words here")
+    [story] = load_corpus(tmp_path)
+    assert story.id == nfc
+    assert story.title == "Nattergalen P\u00e5 Taget"
+
+
+def test_stems_equal_in_nfc_keep_the_first_file(tmp_path, caplog):
+    nfc, nfd = "\u00e9t\u00e9", unicodedata.normalize("NFD", "\u00e9t\u00e9")
+    write_story(tmp_path, nfc, "composed")
+    write_story(tmp_path, nfd, "decomposed")
+    first, second = sorted([f"{nfc}.txt", f"{nfd}.txt"])
+    with caplog.at_level("WARNING"):
+        stories = load_corpus(tmp_path)
+    assert [(s.id, s.text) for s in stories] == [(nfc, (tmp_path / first).read_text())]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{tmp_path / second}: duplicate id {nfc!r}, skipped"
+    ]
 
 
 # ------------------------------------------------------------- load_ratings
@@ -320,6 +342,14 @@ def test_mapping_applied_to_join(tmp_path, graded_lex):
         mapping={"file_name": "catalog_name"},
     )
     assert records[0].avg_rating == 4.5
+
+
+def test_nfd_stem_joins_its_nfc_rating_id(tmp_path, graded_lex):
+    nfc = "Nattergalen_p\u00e5_taget"
+    write_story(tmp_path, unicodedata.normalize("NFD", nfc), fgn_token_text(0.5, 1024, seed=7))
+    ratings = load_ratings(write_ratings(tmp_path / "r.csv", [f"{nfc},Nattergalen,4.2,80"]))
+    [record] = analyze_corpus(load_corpus(tmp_path), graded_lex, ratings=ratings)
+    assert (record.id, record.avg_rating, record.n_ratings) == (nfc, 4.2, 80)
 
 
 def test_all_failed_corpus_raises(tmp_path, graded_lex):

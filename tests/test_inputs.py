@@ -27,6 +27,12 @@ def test_read_text_drops_one_leading_bom(tmp_path):
     assert read_text(path) == "\ufeffa\ufeff\r\n"
 
 
+def test_read_text_gives_nfc(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes("\ufeffbla\u030a e\u0301t\u00e9".encode("utf-8"))
+    assert read_text(path) == "bl\u00e5 \u00e9t\u00e9"
+
+
 def test_read_text_errors_take_one_of_two_forms(tmp_path):
     missing = tmp_path / "missing.txt"
     with pytest.raises(SentarcError, match=f"^no such file: {re.escape(str(missing))}$"):

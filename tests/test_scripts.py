@@ -74,3 +74,27 @@ def test_same_bytes_names_the_first_file_that_differs(tmp_path, capsys):
     assert same_bytes.main([parent, str(src), "--seeds", "0"], sizes=SMALL) == 1
     out = capsys.readouterr().out
     assert "results.csv:2: parent " in out
+
+
+def test_same_bytes_waives_only_the_named_rewording(tmp_path, capsys):
+    parent = Path(sentarc.__file__).parents[1]
+    src = tmp_path / "src"
+    shutil.copytree(parent, src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "sentarc" / "cli.py"
+    text = cli.read_text()
+    old, new = "run the full corpus study", "run the whole corpus study"
+    assert text.count(old) == 1
+    waiver = (["--help"], old.encode(), new.encode(), "a reworded summary")
+    runs = (tmp_path / "parent", tmp_path / "change")
+    for run_dir in runs:
+        run_dir.mkdir()
+
+    cli.write_text(text.replace(old, new))
+    assert same_bytes.compare([(["--help"], [])], (parent, src), runs, [waiver]) is None
+    assert capsys.readouterr().out == "waived: sentarc --help: a reworded summary\n"
+
+    # any other difference in the same stream is still reported
+    cli.write_text(text.replace(old, new).replace("Story arcs, Hurst", "Story arcs and Hurst"))
+    found = same_bytes.compare([(["--help"], [])], (parent, src), runs, [waiver])
+    assert found.startswith("sentarc --help\n  stdout:4: parent b'Story arcs, Hurst")
+    assert capsys.readouterr().out == "waived: sentarc --help: a reworded summary\n"
