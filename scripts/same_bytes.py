@@ -13,6 +13,9 @@ fresh `python -m sentarc` processes, once with each tree on PYTHONPATH
 - `analyze` at --jobs 1, with --dcor-permutations, --seed and a --mapping
   file, and at --jobs 2; each followed by `correlate` on its results.csv
   at thresholds 0 and 30;
+- `analyze` at --jobs 2 on a copy of the study corpus plus a file that is
+  not UTF-8 and two files whose stems are equal in NFC, so the skip
+  warnings are compared too;
 - `correlate` on the generated results table;
 - `cluster --k 4 --tree-out`;
 - `arc STORY --windows-out`, once to files and once to stdout;
@@ -40,6 +43,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -116,6 +120,18 @@ def matrix(seed: int, root: Path, sizes: dict) -> list[tuple[list[str], list[str
             ([*analyze, "--jobs", str(jobs), *extra, "--out", out], [f"{out}/{f}" for f in ANALYZE_FILES]),
             (["correlate", "--results", f"{out}/results.csv", *thresholds], []),
         ]
+    # load_corpus skips the one file that does not decode and the second
+    # of two stems equal in NFC, each with a warning
+    skips = root / "skips"
+    shutil.copytree(study.corpus, skips)
+    (skips / "latin1.txt").write_bytes("blåbær".encode("latin-1"))
+    texts = sorted(study.corpus.glob("*.txt"))
+    for form, text in (("NFC", texts[-1]), ("NFD", texts[-2])):
+        shutil.copyfile(text, skips / f"{unicodedata.normalize(form, 'blåbær')}.txt")
+    commands.append(
+        (["analyze", "--corpus", str(skips), *lexicon, "--ratings", str(study.ratings),
+          "--jobs", "2", "--out", "skips"], [f"skips/{f}" for f in ANALYZE_FILES])
+    )
     commands += [
         (["correlate", "--results", str(table.results), *thresholds, "--dcor-permutations", "3",
           "--out", "table.json"], ["table.json"]),

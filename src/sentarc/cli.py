@@ -105,22 +105,26 @@ def _unwritable(path: str, directory: bool) -> str | None:
     """Why the output `path` cannot be written, as the OS words it, or
     None. A file output must not be a directory, and a new one needs an
     existing directory; a `directory` output must be a directory when it
-    exists, and a new one is made by `_write_outputs`. A missing output is
-    judged by its resolved path, so a symlink by its target. The write
-    must also be permitted: a file written in place needs write access to
-    itself, and a staged file, or a directory output, to its directory."""
+    exists. A missing output is judged by its resolved path, so a symlink
+    by its target. The write must also be permitted: a file written in
+    place needs write access to itself, a staged file to its directory,
+    and a directory output to itself or, when it is new and
+    `_write_outputs` would make it with its missing parents, to its
+    nearest existing ancestor."""
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
-        if directory:
-            return None
         mode = None
     except OSError as exc:
         return exc.strerror  # a file on the way to it, say
     if mode is not None and stat.S_ISDIR(mode) != directory:
         return os.strerror(errno.ENOTDIR if directory else errno.EISDIR)
     if directory:
-        where, needed = path, os.W_OK | os.X_OK
+        where, needed = os.path.realpath(path), os.W_OK | os.X_OK
+        while not os.path.exists(where):  # made with its missing parents
+            where = os.path.dirname(where)
+        if not os.path.isdir(where):
+            return os.strerror(errno.ENOTDIR)
     elif mode is not None and (os.path.islink(path) or not stat.S_ISREG(mode)):
         where, needed = path, os.W_OK  # written in place
     else:

@@ -6,6 +6,8 @@ optional mapping CSV `file_id,ratings_id` covers mismatched ids). Each
 story runs tokenize -> valence series -> Hurst estimate; stories the
 estimator rejects keep a reason-coded record rather than disappearing.
 `build_arcs` maps the text -> arc step alone over the same worker pool.
+A story is a handle to its file, read where it is analyzed, so no process
+holds every text.
 """
 
 from __future__ import annotations
@@ -46,9 +48,18 @@ _RATINGS_FIELDS = {"id": str, "title": str, "avg_rating": float, "n_ratings": in
 
 @dataclass(frozen=True)
 class Story:
+    """A story's id and title, and the path of its file."""
+
     id: str
     title: str
-    text: str
+    path: Path
+
+    @property
+    def text(self) -> str:
+        """The file's text in NFC, read on every access and never kept.
+        A file that is gone or no longer decodes raises SentarcError, as
+        `read_text` words it."""
+        return read_text(self.path)
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,9 @@ def load_corpus(directory) -> list[Story]:
     The id is the file stem in NFC, the form `read_text` gives every text
     it is matched against. Files that cannot be read or fail UTF-8
     decoding are logged and skipped, and so is a file whose id an earlier
-    file in (id, file name) order already has.
+    file in (id, file name) order already has. Each file is read once to
+    decide that, and its text is then dropped: a story reads its file
+    again where it is analyzed.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -119,11 +132,11 @@ def load_corpus(directory) -> list[Story]:
             log.warning("%s: duplicate id %r, skipped", path, story_id)
             continue
         try:
-            text = read_text(path)
+            read_text(path)
         except SentarcError as exc:
             log.warning("%s, skipped", exc)
             continue
-        stories[story_id] = Story(id=story_id, title=_title_from_stem(story_id), text=text)
+        stories[story_id] = Story(id=story_id, title=_title_from_stem(story_id), path=path)
     return list(stories.values())
 
 
@@ -207,11 +220,11 @@ def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
     workers, never more than `usable_cpus()` and never more than there are
     chunks; when that leaves one worker, the stories run in this process.
     Workers receive `fn`, the corpus and `args` once, at start-up, and
-    each task is a story's index into the corpus. Under the fork start
-    method the workers inherit the corpus, so no story is pickled and no
-    text gains the UTF-8 copy that CPython caches in a str pickled with
-    characters above U+00FF. Under spawn or forkserver the corpus is
-    pickled once per worker at start-up.
+    each task is a story's index into the corpus. A story holds its path,
+    not its text, so each worker reads only the files of the stories it
+    is given, and no process holds every text: under fork the workers
+    inherit the ids and paths, and under spawn or forkserver each worker
+    unpickles them at start-up.
     """
     chunk = 4
     workers = min(jobs, usable_cpus(), -(-len(corpus) // chunk))

@@ -784,11 +784,12 @@ def test_out_in_missing_directory_names_the_output(tmp_path, capsys):
         ("hurst", "--points-out", "file.txt/points.csv", "", errno.ENOTDIR),
         ("cluster", "--out", "dir", "", errno.EISDIR),
         ("analyze", "--out", "file.txt", "", errno.ENOTDIR),
+        ("analyze", "--out", "file.txt/new", "", errno.ENOTDIR),
         # each of analyze's four files is checked when --out exists
         ("analyze", "--out", "study", "report.json", errno.EISDIR),
     ],
     ids=["missing-directory", "directory-is-a-file", "file-output-is-a-directory",
-         "analyze-out-is-a-file", "analyze-report-is-a-directory"],
+         "analyze-out-is-a-file", "analyze-out-under-a-file", "analyze-report-is-a-directory"],
 )
 def test_unwritable_output_exit_1_before_any_input_is_read(
     tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command, flag, target, named, code
@@ -872,7 +873,7 @@ def test_no_command_touches_the_filesystem_before_main_writes(
 @pytest.mark.skipif(
     not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root ignores mode bits"
 )
-@pytest.mark.parametrize("command", ["synth", "analyze"])
+@pytest.mark.parametrize("command", ["synth", "analyze", "analyze_new"])
 def test_output_in_read_only_directory_exit_1_before_the_work(
     tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command
 ):
@@ -890,6 +891,9 @@ def test_output_in_read_only_directory_exit_1_before_the_work(
         "synth": (["synth", "--h", "0.7", "--n", "64", "--out"], read_only / "out.csv"),
         "analyze": (["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
                      "--ratings", str(ratings), "--out"], read_only),
+        # made with its parents, under the nearest existing directory
+        "analyze_new": (["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+                         "--ratings", str(ratings), "--out"], read_only / "new" / "deeper"),
     }[command]
     try:
         assert run_cli([*argv, str(target)], capsys) == (

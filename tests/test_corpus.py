@@ -3,8 +3,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import unicodedata
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +215,17 @@ def test_mapping_bad_header_raises(tmp_path):
         load_id_mapping(path)
 
 
+def test_story_is_a_handle_to_its_file(tmp_path):
+    path = write_story(tmp_path, "tale", "first words")
+    [story] = load_corpus(tmp_path)
+    assert [f.name for f in fields(Story)] == ["id", "title", "path"]
+    assert story.path == path
+    assert not any(isinstance(value, str) and "words" in value for value in vars(story).values())
+    # read on every access: a file that still decodes is taken as it is then
+    path.write_text("second words", encoding="utf-8")
+    assert story.text == "second words"
+
+
 # ----------------------------------------------------------- analyze_corpus
 
 
@@ -300,7 +313,9 @@ def test_record_stores_neither_status_nor_sweet_spot():
     order=st.integers(0, 3),
     seed=st.integers(0, 2**16),
 )
-def test_status_names_the_error_estimate_hurst_raises(n_tokens, constant_share, order, seed):
+def test_status_names_the_error_estimate_hurst_raises(
+    tmp_path_factory, n_tokens, constant_share, order, seed
+):
     """The derived status is exact: the record has no estimate exactly when
     the estimator refuses the story's series, and its status is too_short
     exactly below MIN_SERIES_LENGTH tokens, even for series that are
@@ -315,7 +330,8 @@ def test_status_names_the_error_estimate_hurst_raises(n_tokens, constant_share, 
         refused = False
     except AfaError:
         refused = True
-    record = corpus_mod._analyze_story(Story(id="s", title="S", text=text), lexicon, order)
+    path = write_story(tmp_path_factory.mktemp("story"), "s", text)
+    record = corpus_mod._analyze_story(Story(id="s", title="S", path=path), lexicon, order)
     assert (record.hurst is None) == refused
     assert (record.status == "ok") == (not refused)
     assert (record.status == "too_short") == (record.n_tokens < MIN_SERIES_LENGTH)
@@ -401,7 +417,8 @@ def pool_sizes(monkeypatch, n_stories, jobs, cpus):
     monkeypatch.setattr(corpus_mod, "_WORKER_TASK", None)
     monkeypatch.setattr(FakePool, "sizes", [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    stories = [Story(id=f"s{i}", title="", text="") for i in range(n_stories)]
+    # never read: the mapped function uses only the id
+    stories = [Story(id=f"s{i}", title="", path=Path(f"s{i}.txt")) for i in range(n_stories)]
     got = corpus_mod._map_stories(lambda story, tag: (story.id, tag), stories, jobs, "t")
     assert got == [(s.id, "t") for s in stories]
     return FakePool.sizes
@@ -435,22 +452,21 @@ def test_build_arcs_same_at_any_jobs(tmp_path, graded_lex):
             assert a.smooth.tobytes() == b.smooth.tobytes()
 
 
-def _curly_corpus(n_stories):
+def _curly_corpus(directory, n_stories, words=512, pad=1):
     """Stories whose texts hold U+2019, so CPython stores them two bytes a
-    character and pickling one would cache a UTF-8 copy inside it."""
-    return [
-        Story(id=f"s{i}", title=f"Tale {i}",
-              text=fgn_token_text(0.5 + 0.05 * i, 512, seed=i).replace(" ", "’ "))
-        for i in range(n_stories)
-    ]
+    character and pickling one would cache a UTF-8 copy inside it. `pad`
+    U+2019s follow each word; they are no token, so the arcs stay small."""
+    for i in range(n_stories):
+        text = fgn_token_text(0.5 + 0.05 * (i % 8), words, seed=i).replace(" ", "’" * pad + " ")
+        write_story(directory, f"s{i}", text)
+    return load_corpus(directory)
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="workers inherit the corpus only under fork"
 )
-def test_pool_pickles_no_story_under_fork(monkeypatch, graded_lex):
-    corpus = _curly_corpus(8)
-    sizes = [sys.getsizeof(s.text) for s in corpus]
+def test_pool_pickles_no_story_under_fork(tmp_path, monkeypatch, graded_lex):
+    corpus = _curly_corpus(tmp_path, 8)
 
     def refuse(self, protocol):
         raise AssertionError(f"story {self.id} pickled")
@@ -461,7 +477,81 @@ def test_pool_pickles_no_story_under_fork(monkeypatch, graded_lex):
     assert [r.id for r in records] == [s.id for s in corpus]
     for story, arc in zip(corpus, arcs, strict=True):
         assert arc.raw.tobytes() == arc_from_text(story.text, graded_lex).raw.tobytes()
-    assert [sys.getsizeof(s.text) for s in corpus] == sizes
+
+
+# 64 stories of 256 words, each followed by 80 U+2019s: 2.7 MB of texts
+# two bytes a character, against 131 KB of arcs
+_HEAVY = {"n_stories": 64, "words": 256, "pad": 80}
+
+_POOL_PEAK = """
+import multiprocessing, sys, tracemalloc
+from sentarc import analyze_corpus, build_arcs, load_corpus, load_lexicon
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    lexicon = load_lexicon(sys.argv[3])
+    tracemalloc.start()
+    corpus = load_corpus(sys.argv[2])
+    records = analyze_corpus(corpus, lexicon, jobs=2)
+    arcs = build_arcs(corpus, lexicon, jobs=2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    texts = sum(sys.getsizeof(story.text) for story in corpus)
+    assert len(records) == len(arcs) == len(corpus)
+    assert texts > 2_000_000 and peak < texts / 4, (peak, texts)
+"""
+
+
+def test_pool_main_process_holds_no_corpus(tmp_path, graded_lex):
+    # the texts are read where each story is analyzed, never all at once
+    # in this process, whatever the start method
+    tracemalloc.start()
+    try:
+        corpus = _curly_corpus(tmp_path, **_HEAVY)
+        records = analyze_corpus(corpus, graded_lex, jobs=2)
+        arcs = build_arcs(corpus, graded_lex, jobs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    texts = sum(sys.getsizeof(story.text) for story in corpus)
+    assert len(records) == len(arcs) == len(corpus)
+    assert texts > 2_000_000 and peak < texts / 4, (peak, texts)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_main_process_holds_no_corpus_in_a_subprocess(tmp_path, method):
+    # under spawn and forkserver, Python 3.14's default on Linux, each
+    # worker unpickles the corpus it is given: ids and paths, no text
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _curly_corpus(corpus, **_HEAVY)
+    lexicon = write_graded_lexicon_file(tmp_path / "lexicon.tsv")
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PEAK, method, str(corpus), str(lexicon)],
+        capture_output=True, text=True, env=package_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("build", [analyze_corpus, build_arcs], ids=["analyze", "build_arcs"])
+@pytest.mark.parametrize("fault", ["deleted", "not_utf8"])
+def test_story_file_changed_after_load_fails_the_run(tmp_path, graded_lex, fault, build, jobs):
+    # 8 stories make two chunks of four, so jobs=2 starts two workers
+    for i in range(8):
+        write_story(tmp_path, f"s{i}", fgn_token_text(0.5, 256, seed=i))
+    corpus = load_corpus(tmp_path)
+    path = tmp_path / "s5.txt"
+    if fault == "deleted":
+        path.unlink()
+        message = f"no such file: {path}"
+    else:
+        path.write_bytes(b"\xff\xfe broken")
+        message = f"cannot read {path}: 'utf-8' codec can't decode"
+    with pytest.raises(SentarcError, match=re.escape(message)):
+        build(corpus, graded_lex, jobs=jobs)
 
 
 _SPAWNED_POOL = """
@@ -483,11 +573,10 @@ if __name__ == "__main__":
 
 def test_pool_same_results_under_spawn(tmp_path):
     # spawn stands in for forkserver, Python 3.14's default on Linux: each
-    # worker unpickles the corpus instead of inheriting it
+    # worker unpickles the corpus, ids and paths, instead of inheriting it
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    for story in _curly_corpus(8):
-        write_story(corpus, story.id, story.text)
+    _curly_corpus(corpus, 8)
     lexicon = write_graded_lexicon_file(tmp_path / "lexicon.tsv")
     proc = subprocess.run(
         [sys.executable, "-c", _SPAWNED_POOL, str(corpus), str(lexicon)],

@@ -1,8 +1,11 @@
 import csv
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import same_bytes
 import sentarc
@@ -98,3 +101,28 @@ def test_same_bytes_waives_only_the_named_rewording(tmp_path, capsys):
     found = same_bytes.compare([(["--help"], [])], (parent, src), runs, [waiver])
     assert found.startswith("sentarc --help\n  stdout:4: parent b'Story arcs, Hurst")
     assert capsys.readouterr().out == "waived: sentarc --help: a reworded summary\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, shown",
+    [
+        ('"%s: duplicate id %r, skipped"', '"%s: duplicate id %r, dropped"', "duplicate id"),
+        ('log.warning("%s, skipped", exc)', 'log.warning("%s, dropped", exc)', "latin1.txt"),
+    ],
+    ids=["nfc-duplicate", "not-utf8"],
+)
+def test_same_bytes_compares_the_corpus_skip_warnings(tmp_path, capsys, old, new, shown):
+    # the matrix's corpus holds a file that is not UTF-8 and two stems
+    # equal in NFC, so a reworded skip warning is caught in stderr
+    parent = Path(sentarc.__file__).parents[1]
+    src = tmp_path / "src"
+    shutil.copytree(parent, src, ignore=shutil.ignore_patterns("__pycache__"))
+    corpus = src / "sentarc" / "corpus.py"
+    text = corpus.read_text()
+    assert text.count(old) == 1
+    corpus.write_text(text.replace(old, new))
+    assert same_bytes.main([str(parent), str(src), "--seeds", "0"], sizes=SMALL) == 1
+    out = capsys.readouterr().out
+    skips_run = r"^seed 0: sentarc analyze --corpus \S+/skips .*\n  stderr:\d+: parent b.WARNING: "
+    assert re.search(skips_run, out, re.MULTILINE), out
+    assert shown in out
