@@ -69,27 +69,7 @@ FIXED = [([sub, "--help"], []) for sub in SUBCOMMANDS] + [
 #: that argv only, the parent's bytes in its stdout are replaced by the
 #: change's before the two runs are compared. Once the parent writes the
 #: new bytes itself, a waiver matches nothing, so it expires by itself.
-WAIVERS = [
-    (
-        ["analyze", "--help"],
-        b"  --jobs JOBS           worker processes over the stories, at least 1\n"
-        b"                        (default: logical cores); outputs are the same at any\n"
-        b"                        value\n",
-        b"  --jobs JOBS           worker processes over the stories, at least 1\n"
-        b"                        (default: the CPUs this process may run on); outputs\n"
-        b"                        are the same at any value\n",
-        "--jobs help names its default, the CPUs the process may run on",
-    ),
-    (
-        ["cluster", "--help"],
-        b"  --jobs JOBS          worker processes over the stories, at least 1 (default:\n"
-        b"                       logical cores); outputs are the same at any value\n",
-        b"  --jobs JOBS          worker processes over the stories, at least 1 (default:\n"
-        b"                       the CPUs this process may run on); outputs are the same\n"
-        b"                       at any value\n",
-        "--jobs help names its default, the CPUs the process may run on",
-    ),
-]
+WAIVERS = []
 
 
 def matrix(seed: int, root: Path, sizes: dict) -> list[tuple[list[str], list[str]]]:

@@ -169,16 +169,19 @@ def global_trend(u, w: int, order: int = 1) -> np.ndarray:
     v = np.empty(u.size)
     v[: n + 1] = fits[0, : n + 1]
     # row k blends fits k and k+1 at offsets 0..n-1 past center k, where
-    # fit k+1 covers them from its own offsets 0..n-1
+    # fit k+1 covers them from its own offsets 0..n-1. The rows are written
+    # straight into v and end before it does; what a cut-short last row
+    # writes past the last center is overwritten below
     w1, w2 = blend_weights(n)
-    blend = w1[:n] * fits[:-1, n : 2 * n] + w2[:n] * fits[1:, :n]
+    blend = v[n : n + (starts.size - 1) * n].reshape(-1, n)
+    np.multiply(w1[:n], fits[:-1, n : 2 * n], out=blend)
+    blend += w2[:n] * fits[1:, :n]
     step = int(starts[-1] - starts[-2]) if starts.size > 1 else n
     if step != n:
         # a right-anchored last segment sits `step` < n past its neighbor,
         # so its row fades over that shorter step and is cut there
         w1, w2 = blend_weights(step)
         blend[-1, :step] = w1[:step] * fits[-2, n : n + step] + w2[:step] * fits[-1, n - step : n]
-    v[n:last_center] = blend.ravel()[: last_center - n]
     v[last_center:] = fits[-1, last_center - starts[-1] :]
     return v
 

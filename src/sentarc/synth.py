@@ -22,6 +22,9 @@ from .errors import SentarcError
 #: Tolerated eigenvalue undershoot from rounding in the embedding.
 EIGENVALUE_TOLERANCE = -1e-10
 
+# lags filled, and normals drawn, per call in fgn
+_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -59,33 +62,46 @@ def fgn(spec: SynthSpec) -> np.ndarray:
     happen for H in (0, 1) beyond rounding error.
     """
     n = spec.n
-    # one 2N complex buffer serves both transforms: the circulant row
-    # [g0..gN, g(N-1)..g1] in, its eigenvalues out, then the scaled draws
+    # one 2N complex buffer is the only array of that size, and it serves
+    # both transforms: the circulant row [g0..gN, g(N-1)..g1] in, its
+    # eigenvalues out, then the scaled draws. Lags and draws go in a chunk
+    # at a time, so no other array grows with N
     buf = np.zeros(2 * n, dtype=complex)
-    gamma = fgn_autocovariance(spec.target_h, np.arange(n + 1))
-    buf.real[: n + 1] = gamma
-    buf.real[n + 1 :] = gamma[-2:0:-1]
-    del gamma
+    for start in range(0, n + 1, _CHUNK):
+        stop = min(start + _CHUNK, n + 1)
+        buf.real[start:stop] = fgn_autocovariance(spec.target_h, np.arange(start, stop))
+    buf.real[n + 1 :] = buf.real[n - 1 : 0 : -1]
     np.fft.fft(buf, out=buf)
     # the row is symmetric, so eigenvalues 0..N are all the draws use
-    eigenvalues = buf.real[: n + 1].copy()
-    if eigenvalues.min() < EIGENVALUE_TOLERANCE:
+    eigenvalues = buf.real[: n + 1]
+    lowest = eigenvalues.min()
+    if lowest < EIGENVALUE_TOLERANCE:
         raise SentarcError(
-            f"circulant embedding failed: eigenvalue {eigenvalues.min():.3e} < 0 "
+            f"circulant embedding failed: eigenvalue {lowest:.3e} < 0 "
             f"for H={spec.target_h}, N={n}"
         )
     np.clip(eigenvalues, 0.0, None, out=eigenvalues)
+    # the draws overwrite eigenvalues 1..N-1, so they wait in the slots
+    # the conjugates fill last
+    first_eigenvalue, middle_eigenvalue = eigenvalues[0], eigenvalues[n]
+    scale = buf.real[n + 1 :]
+    scale[:] = eigenvalues[1:n]
 
     rng = np.random.default_rng(spec.seed)
     first = rng.standard_normal()
     middle = rng.standard_normal()
-    real = rng.standard_normal(n - 1)
-    imag = rng.standard_normal(n - 1)
+    # chunked draws continue one stream, the same values as one call; the
+    # chunks are copies, as standard_normal's out= takes contiguous arrays only
+    for part in (buf.real, buf.imag):
+        for start in range(1, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            part[start:stop] = rng.standard_normal(stop - start)
 
-    buf[0] = np.sqrt(eigenvalues[0] / (2 * n)) * first
-    buf[1:n] = np.sqrt(eigenvalues[1:n] / (4 * n)) * (real + 1j * imag)
-    buf[n] = np.sqrt(eigenvalues[n] / (2 * n)) * middle
-    del real, imag, eigenvalues
+    buf[0] = np.sqrt(first_eigenvalue / (2 * n)) * first
+    scale /= 4 * n
+    np.sqrt(scale, out=scale)
+    buf[1:n] *= scale
+    buf[n] = np.sqrt(middle_eigenvalue / (2 * n)) * middle
     np.conjugate(buf[n - 1 : 0 : -1], out=buf[n + 1 :])
     np.fft.fft(buf, out=buf)
     return buf.real[:n].copy()

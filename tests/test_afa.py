@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ def test_trend_fades_through_blend_weights(monkeypatch, n_samples, w, steps):
     u = np.random.default_rng(n_samples).normal(size=n_samples).cumsum()
     global_trend(u, w)
     assert calls == steps
+
+
+def test_trend_peak_memory_under_five_and_a_half_series():
+    # the blend rows are written into the trend itself; with their own
+    # array and three temporaries one call peaked at 6.06 series
+    n_samples = 2**18
+    u = profile(white_noise(n_samples, 3))
+    tracemalloc.start()
+    try:
+        global_trend(u, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * n_samples
 
 
 def test_cached_fit_operators_are_read_only():

@@ -286,38 +286,70 @@ def read_series_loop(path):
     return values
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "1\n2.5\n-3e-2\n",
-        "value\n1\n2\n",
-        "a,b\n1\n2",
-        "1\n\n2\n   \n3\n\n",
-        "value\n\n1\n",
-        "\n1\n2\n",
-        "1\r\n2\r\n3\r\n",
-        "value\r\n1\r\n",
-        "  1.5 \n\t-2\t\n 3\n",
-        "nan\ninf\n-0.0\n",
-        "1\n2\nx\n4\n",
-        "1\n2\n3\nfoo",
-        "value\n1\n1,2\n",
-        "\nvalue\n1\n",
-        "1\nvalue\n",
-        "1\r2\r3\r",
-        "  \nvalue\n1\n",
-        "1\n2\n\nfoo\n",
-        "1\n\x1c2\n",
-        "value\n1\n-inf\n",
-        "nan\n1\n2\n",
-        "1\n inf \nfoo\n",
-        "1\n\ninf\nfoo\n",
-        "1\nfoo\ninf\n",
-        "nan\n1\n",
-    ],
-)
+SERIES_TEXTS = [
+    "",
+    "1\n2.5\n-3e-2\n",
+    "value\n1\n2\n",
+    "a,b\n1\n2",
+    "1\n\n2\n   \n3\n\n",
+    "value\n\n1\n",
+    "\n1\n2\n",
+    "1\r\n2\r\n3\r\n",
+    "value\r\n1\r\n",
+    "  1.5 \n\t-2\t\n 3\n",
+    "nan\ninf\n-0.0\n",
+    "1\n2\nx\n4\n",
+    "1\n2\n3\nfoo",
+    "value\n1\n1,2\n",
+    "\nvalue\n1\n",
+    "1\nvalue\n",
+    "1\r2\r3\r",
+    "  \nvalue\n1\n",
+    "1\n2\n\nfoo\n",
+    "1\n\x1c2\n",
+    "value\n1\n-inf\n",
+    "nan\n1\n2\n",
+    "1\n inf \nfoo\n",
+    "1\n\ninf\nfoo\n",
+    "1\nfoo\ninf\n",
+    "nan\n1\n",
+    "value\r\r1\r2\r\rx\r",
+    "value\r\n\r\n1\r\n2\r\nfoo\r\n",
+    "1\r\n\r2\n\rx",
+]
+
+
+@pytest.mark.parametrize("text", SERIES_TEXTS)
 def test_read_series_matches_line_loop(tmp_path, text):
+    assert_read_series_matches_line_loop(tmp_path, text)
+
+
+@pytest.mark.parametrize("slice_chars", [1, 2, 5])
+@pytest.mark.parametrize("text", SERIES_TEXTS)
+def test_read_series_matches_line_loop_at_every_slice_cut(
+    monkeypatch, tmp_path, text, slice_chars
+):
+    # a slice runs from its start to the first line end at or past
+    # slice_chars - 1, so at 1 every line is a slice of its own
+    monkeypatch.setattr(serialize, "_READ_SLICE_CHARS", slice_chars)
+    assert_read_series_matches_line_loop(tmp_path, text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=repr)
+def test_read_series_names_a_bad_line_just_after_a_slice_cut(tmp_path, end):
+    # the first slice ends with the line end at its last character, so the
+    # bad line opens the second slice
+    lines_before = serialize._READ_SLICE_CHARS // 4
+    text = f"0.5{end}" * lines_before + f"x{end}1{end}"
+    assert text.replace(end, "\n").index("x") == serialize._READ_SLICE_CHARS
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(SentarcError) as got:
+        serialize.read_series(inputs.read_text(str(path)), str(path))
+    assert str(got.value) == f"{path}:{lines_before + 1}: expected one numeric column, got 'x'"
+
+
+def assert_read_series_matches_line_loop(tmp_path, text):
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode("utf-8"))
     try:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from sentarc.serialize import (
     RESULTS_HEADER,
     hurst_json,
     read_results_csv,
+    read_series,
     report_json,
     reports_json,
     write_results_csv,
@@ -377,3 +379,18 @@ def test_series_csv_chunk_boundaries(length):
     text = series_csv(values)
     assert text == "".join(format(v, ".17g") + "\n" for v in values)
     assert text.count("\n") == length
+
+
+def test_read_series_peak_memory_under_three_texts():
+    # lines are split a slice at a time; the whole text's list of lines
+    # peaked at 4.27 texts
+    values = np.random.default_rng(5).standard_normal(2**18)
+    text = series_csv(values)
+    tracemalloc.start()
+    try:
+        got = read_series(text, "series.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, values)
+    assert peak < 3 * len(text)

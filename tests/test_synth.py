@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sentarc import SynthSpec, fgn, fgn_autocovariance, white_noise
+from sentarc import SynthSpec, fgn, fgn_autocovariance, synth, white_noise
 
 
 def raw_lag1_autocorr(x):
@@ -40,6 +40,37 @@ def test_fgn_bit_identical_to_two_array_form(target_h, n, seed):
     a, b = fgn(spec), two_array_fgn(spec)
     assert a.shape == b.shape
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("target_h,seed", [(0.3, 7), (0.9, 2)])
+def test_fgn_bit_identical_across_chunk_boundaries(monkeypatch, target_h, seed, n, chunk):
+    # lags are filled and normals drawn a chunk at a time; small chunks put
+    # many cuts inside n
+    monkeypatch.setattr(synth, "_CHUNK", chunk)
+    spec = SynthSpec(target_h=target_h, n=n, seed=seed)
+    assert np.array_equal(fgn(spec).view(np.int64), two_array_fgn(spec).view(np.int64))
+
+
+def test_fgn_bit_identical_at_four_real_chunks():
+    spec = SynthSpec(target_h=0.7, n=4 * synth._CHUNK, seed=5)
+    assert np.array_equal(fgn(spec).view(np.int64), two_array_fgn(spec).view(np.int64))
+
+
+def test_fgn_peak_memory_under_three_buffers():
+    # everything happens in the one 2N complex buffer (two buffers) and the
+    # returned copy (half of one); the draws in arrays of their own peaked
+    # at 5.03 buffers
+    n = 2**18
+    spec = SynthSpec(target_h=0.7, n=n, seed=1)
+    tracemalloc.start()
+    try:
+        fgn(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 16 * n
 
 
 def test_fgn_peak_memory_under_six_buffers():
