@@ -17,7 +17,9 @@ fresh `python -m sentarc` processes, once with each tree on PYTHONPATH
   not UTF-8 and two files whose stems are equal in NFC, so the skip
   warnings are compared too;
 - `correlate` on the generated results table;
-- `cluster --k 4 --tree-out`;
+- `cluster --k 4 --tree-out` on the cluster corpus, and at --jobs 1 on the
+  study corpus, whose empty story is skipped with a warning and whose
+  constant stories have the all-zero shape;
 - `arc STORY --windows-out`, once to files and once to stdout;
 - `hurst STORY --points-out`;
 - `synth`, then `hurst --series --points-out -`, for each long-series pair;
@@ -117,6 +119,9 @@ def matrix(seed: int, root: Path, sizes: dict) -> list[tuple[list[str], list[str
           "--out", "table.json"], ["table.json"]),
         (["cluster", "--corpus", str(cluster.corpus), "--lexicon", str(cluster.lexicon), "--k", "4",
           "--out", "labels.csv", "--tree-out", "tree.csv"], ["labels.csv", "tree.csv"]),
+        (["cluster", "--corpus", str(study.corpus), *lexicon, "--k", "4", "--jobs", "1",
+          "--out", "study-labels.csv", "--tree-out", "study-tree.csv"],
+         ["study-labels.csv", "study-tree.csv"]),
         (["arc", story, *lexicon, "--out", "arc.csv", "--windows-out", "windows.csv"],
          ["arc.csv", "windows.csv"]),
         (["arc", story, *lexicon, "--windows-out", "-"], []),

@@ -18,6 +18,7 @@ from .arc import (
     WindowSummary,
     arc_from_text,
     cluster_arcs,
+    cluster_shape,
     sentiment_series,
     smooth,
     tokenize,
@@ -28,7 +29,7 @@ from .corpus import (
     Story,
     StoryRecord,
     analyze_corpus,
-    build_arcs,
+    build_shapes,
     correlate,
     load_corpus,
     load_id_mapping,
@@ -62,8 +63,9 @@ __all__ = [
     "WindowSummary",
     "analyze_corpus",
     "arc_from_text",
-    "build_arcs",
+    "build_shapes",
     "cluster_arcs",
+    "cluster_shape",
     "correlate",
     "default_window_sizes",
     "distance_correlation",

@@ -140,10 +140,17 @@ def arc_from_text(
 RESAMPLE_POINTS = 100
 
 
-def _cluster_shape(arc: SentimentArc) -> np.ndarray:
-    """Smoothed arc of 2+ tokens, resampled to a fixed length and z-normalized."""
-    grid = np.linspace(0.0, arc.n_tokens - 1, RESAMPLE_POINTS)
-    resampled = np.interp(grid, np.arange(arc.n_tokens), arc.smooth)
+def cluster_shape(arc: SentimentArc) -> np.ndarray:
+    """The shape `cluster_arcs` groups: the arc's `smooth` series resampled
+    to RESAMPLE_POINTS points by linear interpolation and z-normalized, so
+    that it reflects shape rather than level or amplitude. A constant arc
+    has the all-zero shape. Raises ValueError for an arc under 2 tokens,
+    which has no shape to resample.
+    """
+    if (n := arc.n_tokens) < 2:
+        raise ValueError(f"arc too short to resample ({n} tokens)")
+    grid = np.linspace(0.0, n - 1, RESAMPLE_POINTS)
+    resampled = np.interp(grid, np.arange(n), arc.smooth)
     sd = resampled.std()
     # rounding in the mean leaves most constant arcs a tiny nonzero std,
     # which would blow them up to a +-1 shape, so test constancy exactly
@@ -166,31 +173,26 @@ def _squared_distances(shapes: np.ndarray) -> np.ndarray:
     return d2
 
 
-def cluster_arcs(arcs: Mapping[str, SentimentArc], k: int) -> tuple[dict[str, int], list[Merge]]:
+def cluster_arcs(arcs: Mapping[str, np.ndarray], k: int) -> tuple[dict[str, int], list[Merge]]:
     """Ward-linkage agglomerative clustering of arc shapes.
 
-    Each smoothed arc is resampled to 100 points and z-normalized, so the
-    grouping reflects shape rather than level or amplitude. Clusters are
-    merged by the minimum-variance (Ward) criterion. Merge costs within
-    1e-12 of the smallest count as tied, and ties merge the
-    lexicographically smallest id pair, which makes the tree deterministic
-    regardless of input order. A constant arc resamples to the all-zero
-    shape, equidistant from every z-normalized shape, so rounding alone
-    never decides which arc it joins.
+    `arcs` maps each story id to its arc's shape, as :func:`cluster_shape`
+    gives it, so the grouping reflects shape rather than level or
+    amplitude. Clusters are merged by the minimum-variance (Ward)
+    criterion. Merge costs within 1e-12 of the smallest count as tied, and
+    ties merge the lexicographically smallest id pair, which makes the
+    tree deterministic regardless of input order. A constant arc has the
+    all-zero shape, equidistant from every z-normalized shape, so rounding
+    alone never decides which arc it joins.
 
-    `arcs` maps each story id to its arc; every arc needs at least 2
-    tokens. Returns a map story id -> cluster index (clusters numbered
-    0..k-1 in order of their smallest member id) and the full merge list.
+    Returns a map story id -> cluster index (clusters numbered 0..k-1 in
+    order of their smallest member id) and the full merge list.
     """
     m = len(arcs)
     if not 1 <= k <= m:
         raise ValueError(f"need |arcs| >= k >= 1, got {m} arcs and k={k}")
     ids = sorted(arcs)
-    for key in ids:
-        if (n := arcs[key].n_tokens) < 2:
-            raise ValueError(f"arc {key!r} too short to resample ({n} tokens)")
-
-    d2 = _squared_distances(np.array([_cluster_shape(arcs[key]) for key in ids]))
+    d2 = _squared_distances(np.array([arcs[key] for key in ids]))
     np.fill_diagonal(d2, np.inf)
 
     # A merge keeps the lower slot, so slot i's smallest member is ids[i]

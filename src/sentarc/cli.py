@@ -316,14 +316,14 @@ def _cmd_correlate(args):
 def _cmd_cluster(args):
     lexicon = load_lexicon(args.lexicon)
     stories = corpus_mod.load_corpus(args.corpus)
-    arcs = {}
-    built = corpus_mod.build_arcs(stories, lexicon, args.smooth_fraction, args.jobs)
-    for story, series in zip(stories, built, strict=True):
-        if series.n_tokens < 2:
-            log.warning("%s: %d tokens, too short to cluster, skipped", story.id, series.n_tokens)
+    shapes = {}
+    built = corpus_mod.build_shapes(stories, lexicon, args.smooth_fraction, args.jobs)
+    for story, (n_tokens, shape) in zip(stories, built, strict=True):
+        if shape is None:
+            log.warning("%s: %d tokens, too short to cluster, skipped", story.id, n_tokens)
             continue
-        arcs[story.id] = series
-    labels, merges = arc_mod.cluster_arcs(arcs, args.k)
+        shapes[story.id] = shape
+    labels, merges = arc_mod.cluster_arcs(shapes, args.k)
     yield args.out, lambda out: serialize.write_labels_csv(labels, out)
     yield args.tree_out, lambda out: serialize.write_merges_csv(merges, out)
 

@@ -5,9 +5,9 @@ with header `id,title,avg_rating,n_ratings` keyed by file stem (an
 optional mapping CSV `file_id,ratings_id` covers mismatched ids). Each
 story runs tokenize -> valence series -> Hurst estimate; stories the
 estimator rejects keep a reason-coded record rather than disappearing.
-`build_arcs` maps the text -> arc step alone over the same worker pool.
-A story is a handle to its file, read where it is analyzed, so no process
-holds every text.
+`build_shapes` maps the text -> arc -> cluster shape step over the same
+worker pool. A story is a handle to its file, read where it is analyzed,
+so no process holds every text.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import unicodedata
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import arc as arc_mod
 from .afa import MIN_SERIES_LENGTH, estimate_hurst
@@ -238,22 +240,27 @@ def _map_stories(fn, corpus: list[Story], jobs: int, *args) -> list:
     return [fn(story, *args) for story in corpus]
 
 
-def _story_arc(story: Story, lexicon: Lexicon, smooth_fraction: float | None):
-    return arc_mod.arc_from_text(story.text, lexicon, smooth_fraction)
+def _story_shape(story: Story, lexicon: Lexicon, smooth_fraction: float | None):
+    series = arc_mod.arc_from_text(story.text, lexicon, smooth_fraction)
+    shape = arc_mod.cluster_shape(series) if series.n_tokens >= 2 else None
+    return series.n_tokens, shape
 
 
-def build_arcs(
+def build_shapes(
     corpus: list[Story],
     lexicon: Lexicon,
     smooth_fraction: float | None = None,
     jobs: int = 1,
-) -> list[arc_mod.SentimentArc]:
-    """Every story's arc, as by `arc.arc_from_text`, in corpus order.
+) -> list[tuple[int, np.ndarray | None]]:
+    """Every story's token count and cluster shape, in corpus order.
 
-    The arcs are built over `jobs` worker processes when `jobs` > 1; they
-    are the same at any `jobs`.
+    The shape is `arc.cluster_shape` of the story's arc as
+    `arc.arc_from_text(text, lexicon, smooth_fraction)` builds it, or None
+    for an arc under 2 tokens. Each arc is reduced to its shape where it
+    is built, over `jobs` worker processes when `jobs` > 1, so no process
+    holds more than one arc; the results are the same at any `jobs`.
     """
-    return _map_stories(_story_arc, corpus, jobs, lexicon, smooth_fraction)
+    return _map_stories(_story_shape, corpus, jobs, lexicon, smooth_fraction)
 
 
 def analyze_corpus(

@@ -219,20 +219,29 @@ def kendall_tau(x, y) -> tuple[float, float]:
 
 
 # Cells per row block of a distance matrix (4 MB of float64): the
-# distance-correlation kernel holds a few such blocks, never an n x n array.
+# distance-correlation kernel holds at most two such blocks, never an
+# n x n array.
 _DCOR_BLOCK_CELLS = 1 << 19
 
 
 def _row_blocks(n: int) -> list[slice]:
-    rows = max(1, _DCOR_BLOCK_CELLS // n)
+    """Row slices of an n x n matrix, each of at most _DCOR_BLOCK_CELLS
+    cells and at least one row; the first is the largest."""
+    rows = min(n, max(1, _DCOR_BLOCK_CELLS // n))
     return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
-def _distance_block(values: np.ndarray, rows: slice, centering=None) -> np.ndarray:
-    """Rows `rows` of |v_i - v_j|, doubly centered in place by
-    centering = (column means, row means, grand mean) when given, in the
-    order d - column - row + grand."""
-    d = np.subtract.outer(values[rows], values)
+def _block_buffer(n: int, blocks: list[slice]) -> np.ndarray:
+    """Scratch for one row block of `blocks`, the first and largest."""
+    return np.empty((blocks[0].stop, n))
+
+
+def _distance_block(values: np.ndarray, rows: slice, out: np.ndarray, centering=None) -> np.ndarray:
+    """Rows `rows` of |v_i - v_j|, written into the leading rows of `out`
+    and doubly centered in place by centering = (column means, row means,
+    grand mean) when given, in the order d - column - row + grand."""
+    head = values[rows]
+    d = np.subtract.outer(head, values, out=out[: head.size])
     np.abs(d, out=d)
     if centering is not None:
         col, row, grand = centering
@@ -253,8 +262,9 @@ def _distance_centering(values: np.ndarray, blocks: list[slice]):
     col = np.zeros(n)
     row = np.empty(n)
     total = 0.0
+    buf = _block_buffer(n, blocks)
     for rows in blocks:
-        d = _distance_block(values, rows)
+        d = _distance_block(values, rows, buf)
         col += d.sum(axis=0)
         row[rows] = d.mean(axis=1)
         total += float(d.sum())
@@ -263,14 +273,18 @@ def _distance_centering(values: np.ndarray, blocks: list[slice]):
 
 def _centered_products(xa, x_center, ya, y_center, blocks) -> tuple[float, float, float]:
     """mean(a·b), mean(a·a) and mean(b·b) for the doubly-centered distance
-    matrices a of `xa` and b of `ya`, each a sum of row-block sums / n²."""
+    matrices a of `xa` and b of `ya`, each a sum of row-block sums / n².
+
+    Two block buffers hold every product: a·a goes where b is built next,
+    then a·b overwrites a and b·b overwrites b."""
     ab = aa = bb = 0.0
+    buf_a, buf_b = _block_buffer(xa.size, blocks), _block_buffer(xa.size, blocks)
     for rows in blocks:
-        a = _distance_block(xa, rows, x_center)
-        b = _distance_block(ya, rows, y_center)
-        ab += float(np.sum(a * b))
-        aa += float(np.sum(a * a))
-        bb += float(np.sum(b * b))
+        a = _distance_block(xa, rows, buf_a, x_center)
+        aa += float(np.sum(np.multiply(a, a, out=buf_b[: a.shape[0]])))
+        b = _distance_block(ya, rows, buf_b, y_center)
+        ab += float(np.sum(np.multiply(a, b, out=a)))
+        bb += float(np.sum(np.multiply(b, b, out=b)))
     n2 = xa.size ** 2
     return ab / n2, aa / n2, bb / n2
 

@@ -11,6 +11,7 @@ from sentarc import (
     SentimentArc,
     arc_from_text,
     cluster_arcs,
+    cluster_shape,
     sentiment_series,
     smooth,
     tokenize,
@@ -281,6 +282,11 @@ def dense_squared_distances(shapes):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def shapes_of(arcs):
+    """`cluster_arcs`' input: each arc's shape under its id."""
+    return {key: cluster_shape(arc) for key, arc in arcs.items()}
+
+
 def assert_same_bits(a, b):
     assert a.shape == b.shape
     assert a.tobytes() == b.tobytes()
@@ -297,7 +303,7 @@ def test_identical_pair_clusters_together():
     a1 = arc_from_values([0.1, 0.2, 0.3, 0.4])
     a2 = arc_from_values([0.1, 0.2, 0.3, 0.4])
     far = arc_from_values([0.9, 0.1, 0.9, 0.1])
-    labels, merges = cluster_arcs({"a1": a1, "a2": a2, "zz": far}, 2)
+    labels, merges = cluster_arcs(shapes_of({"a1": a1, "a2": a2, "zz": far}), 2)
     assert labels["a1"] == labels["a2"] != labels["zz"]
     assert merges[0].a == "a1" and merges[0].b == "a2"
     assert merges[0].height == 0.0
@@ -309,7 +315,7 @@ def test_k_equals_arcs_no_merges():
         "b": arc_from_values([0.9, 0.5, 0.1]),
         "c": arc_from_values([0.5, 0.1, 0.5]),
     }
-    labels, merges = cluster_arcs(arcs, 3)
+    labels, merges = cluster_arcs(shapes_of(arcs), 3)
     assert sorted(labels.values()) == [0, 1, 2]
     assert merges == []
 
@@ -323,14 +329,12 @@ def test_rising_vs_falling_matches_oracle():
     }
     for key in arcs:
         arcs[key] = smooth(arcs[key], 0.05)
-    labels, _ = cluster_arcs(arcs, 2)
+    labels, _ = cluster_arcs(shapes_of(arcs), 2)
     assert labels["r1"] == labels["r2"]
     assert labels["f1"] == labels["f2"]
     assert labels["r1"] != labels["f1"]
 
-    from sentarc.arc import _cluster_shape
-
-    shapes = [_cluster_shape(a) for a in arcs.values()]
+    shapes = [cluster_shape(a) for a in arcs.values()]
     oracle = ward_oracle(shapes, list(arcs), 2)
     assert labels == oracle
 
@@ -341,12 +345,10 @@ def test_cluster_matches_oracle_on_random_arcs():
     for i in range(9):
         values = np.clip(0.5 + 0.2 * np.cumsum(rng.normal(size=60)) / 8, 0, 1)
         arcs[f"s{i:02d}"] = smooth(arc_from_values(values), 0.1)
-    from sentarc.arc import _cluster_shape
-
-    shapes = [_cluster_shape(a) for a in arcs.values()]
+    shapes = [cluster_shape(a) for a in arcs.values()]
     ids = list(arcs)
     for k in (1, 2, 3, 5, 9):
-        labels, _ = cluster_arcs(arcs, k)
+        labels, _ = cluster_arcs(shapes_of(arcs), k)
         assert labels == ward_oracle(shapes, ids, k)
         assert set(labels.values()) == set(range(k))
 
@@ -358,23 +360,25 @@ def test_cluster_invariant_under_affine_rescale_of_one_arc():
         "c": linear_arc(0.8, 0.2, jitter=0.03, seed=9),
         "d": linear_arc(0.75, 0.25, jitter=0.03, seed=10),
     }
-    labels_before, _ = cluster_arcs(base, 2)
+    labels_before, _ = cluster_arcs(shapes_of(base), 2)
     rescaled = dict(base)
     scaled_values = 0.25 + 0.5 * base["a"].smooth  # positive affine, stays in [0,1]
     rescaled["a"] = arc_from_values(scaled_values)
-    labels_after, _ = cluster_arcs(rescaled, 2)
+    labels_after, _ = cluster_arcs(shapes_of(rescaled), 2)
     assert labels_before == labels_after
 
 
 def test_cluster_rejects_more_clusters_than_arcs():
     with pytest.raises(ValueError):
-        cluster_arcs({"a": arc_from_values([0.1, 0.2])}, 2)
+        cluster_arcs(shapes_of({"a": arc_from_values([0.1, 0.2])}), 2)
 
 
 def test_cluster_rejects_single_token_arc():
-    arcs = {"b": arc_from_values([0.2, 0.3]), "tale_07": arc_from_values([0.1])}
-    with pytest.raises(ValueError, match=r"^arc 'tale_07' too short to resample \(1 tokens\)$"):
-        cluster_arcs(arcs, 1)
+    # an arc under 2 tokens has no shape; `cluster` names and skips its story
+    for values in ([0.1], []):
+        with pytest.raises(ValueError, match=rf"^arc too short to resample \({len(values)} tokens\)$"):
+            cluster_shape(arc_from_values(values))
+    assert cluster_shape(arc_from_values([0.2, 0.3])).shape == (RESAMPLE_POINTS,)
 
 
 def test_arcs_from_text_cluster_under_the_callers_ids():
@@ -385,7 +389,7 @@ def test_arcs_from_text_cluster_under_the_callers_ids():
         "rise2": "bad calm calm good good",
     }
     arcs = {key: arc_from_text(text, lex, 0.05) for key, text in texts.items()}
-    labels, merges = cluster_arcs(arcs, 2)
+    labels, merges = cluster_arcs(shapes_of(arcs), 2)
     assert labels == {"fall": 0, "rise": 1, "rise2": 1}
     assert [(m.a, m.b, m.size) for m in merges] == [("rise", "rise2", 2)]
 
@@ -402,9 +406,7 @@ def test_arc_holds_only_its_series():
 
 @pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
 def test_constant_arc_has_zero_shape(level):
-    from sentarc.arc import _cluster_shape
-
-    assert _cluster_shape(arc_from_values([level] * 5)).tolist() == [0.0] * 100
+    assert cluster_shape(arc_from_values([level] * 5)).tolist() == [0.0] * 100
 
 
 @st.composite
@@ -444,12 +446,10 @@ def tie_heavy_arcs(draw):
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_arcs())
 def test_cluster_matches_oracle_on_tie_heavy_arcs(arcs):
-    from sentarc.arc import _cluster_shape
-
-    shapes = [_cluster_shape(a) for a in arcs.values()]
+    shapes = [cluster_shape(a) for a in arcs.values()]
     ids = list(arcs)
     for k in range(1, len(arcs) + 1):
-        labels, merges = cluster_arcs(arcs, k)
+        labels, merges = cluster_arcs(shapes_of(arcs), k)
         assert labels == ward_oracle(shapes, ids, k)
         assert len(merges) == len(arcs) - k
     stacked = np.array(shapes)
@@ -463,8 +463,8 @@ def test_cluster_order_independent():
         "c": linear_arc(0.4, 0.6, jitter=0.05, seed=13),
         "d": linear_arc(0.6, 0.4, jitter=0.05, seed=14),
     }
-    labels_fwd, merges_fwd = cluster_arcs(arcs, 2)
-    labels_rev, merges_rev = cluster_arcs(dict(reversed(arcs.items())), 2)
+    labels_fwd, merges_fwd = cluster_arcs(shapes_of(arcs), 2)
+    labels_rev, merges_rev = cluster_arcs(shapes_of(dict(reversed(arcs.items()))), 2)
     assert labels_fwd == labels_rev
     assert merges_fwd == merges_rev
 
@@ -486,7 +486,7 @@ def test_cluster_memory_grows_with_m_squared():
     arcs = {f"s{i:03d}": arc_from_values(rng.uniform(size=150)) for i in range(m)}
     tracemalloc.start()
     try:
-        cluster_arcs(arcs, 4)
+        cluster_arcs(shapes_of(arcs), 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,7 +20,9 @@ from sentarc import (
     StoryRecord,
     analyze_corpus,
     arc_from_text,
-    build_arcs,
+    build_shapes,
+    cluster_arcs,
+    cluster_shape,
     correlate,
     estimate_hurst,
     load_corpus,
@@ -438,18 +440,31 @@ def test_pool_capped_by_usable_cpus(monkeypatch):
     assert pool_sizes(monkeypatch, 600, jobs=8, cpus=2) == [2]
 
 
-def test_build_arcs_same_at_any_jobs(tmp_path, graded_lex):
+def assert_shapes_of_arcs(built, corpus, lexicon, smooth_fraction):
+    """`built` holds, per story, its arc's token count and the bits of its
+    `cluster_shape`, or None for an arc under 2 tokens."""
+    for (n_tokens, shape), story in zip(built, corpus, strict=True):
+        arc = arc_from_text(story.text, lexicon, smooth_fraction)
+        assert n_tokens == arc.n_tokens
+        if n_tokens < 2:
+            assert shape is None
+        else:
+            assert shape.tobytes() == cluster_shape(arc).tobytes()
+
+
+def test_build_shapes_same_at_any_jobs(tmp_path, graded_lex):
     for i in range(5):
         write_story(tmp_path, f"s{i}", fgn_token_text(0.5 + 0.1 * i, 512, seed=i))
     write_story(tmp_path, "empty", "")
+    word = next(iter(GRADED_WORDS))
+    write_story(tmp_path, "one", word)
+    write_story(tmp_path, "constant", " ".join([word] * 64))
     corpus = load_corpus(tmp_path)
-    want = [arc_from_text(s.text, graded_lex, 0.05) for s in corpus]
     for jobs in (1, 2):
-        got = build_arcs(corpus, graded_lex, 0.05, jobs=jobs)
-        for a, b in zip(got, want, strict=True):
-            assert (a.n_tokens, a.coverage) == (b.n_tokens, b.coverage)
-            assert a.raw.tobytes() == b.raw.tobytes()
-            assert a.smooth.tobytes() == b.smooth.tobytes()
+        built = build_shapes(corpus, graded_lex, 0.05, jobs=jobs)
+        assert_shapes_of_arcs(built, corpus, graded_lex, 0.05)
+    assert {s.id: n for s, (n, shape) in zip(corpus, built) if shape is None} == {"empty": 0, "one": 1}
+    assert not built[0][1].any()  # the constant story has the all-zero shape
 
 
 def _curly_corpus(directory, n_stories, words=512, pad=1):
@@ -473,10 +488,9 @@ def test_pool_pickles_no_story_under_fork(tmp_path, monkeypatch, graded_lex):
 
     monkeypatch.setattr(Story, "__reduce_ex__", refuse)
     records = analyze_corpus(corpus, graded_lex, jobs=2)
-    arcs = build_arcs(corpus, graded_lex, 0.05, jobs=2)
+    built = build_shapes(corpus, graded_lex, 0.05, jobs=2)
     assert [r.id for r in records] == [s.id for s in corpus]
-    for story, arc in zip(corpus, arcs, strict=True):
-        assert arc.raw.tobytes() == arc_from_text(story.text, graded_lex).raw.tobytes()
+    assert_shapes_of_arcs(built, corpus, graded_lex, 0.05)
 
 
 # 64 stories of 256 words, each followed by 80 U+2019s: 2.7 MB of texts
@@ -485,7 +499,7 @@ _HEAVY = {"n_stories": 64, "words": 256, "pad": 80}
 
 _POOL_PEAK = """
 import multiprocessing, sys, tracemalloc
-from sentarc import analyze_corpus, build_arcs, load_corpus, load_lexicon
+from sentarc import analyze_corpus, build_shapes, load_corpus, load_lexicon
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
@@ -493,11 +507,11 @@ if __name__ == "__main__":
     tracemalloc.start()
     corpus = load_corpus(sys.argv[2])
     records = analyze_corpus(corpus, lexicon, jobs=2)
-    arcs = build_arcs(corpus, lexicon, jobs=2)
+    shapes = build_shapes(corpus, lexicon, jobs=2)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     texts = sum(sys.getsizeof(story.text) for story in corpus)
-    assert len(records) == len(arcs) == len(corpus)
+    assert len(records) == len(shapes) == len(corpus)
     assert texts > 2_000_000 and peak < texts / 4, (peak, texts)
 """
 
@@ -509,12 +523,12 @@ def test_pool_main_process_holds_no_corpus(tmp_path, graded_lex):
     try:
         corpus = _curly_corpus(tmp_path, **_HEAVY)
         records = analyze_corpus(corpus, graded_lex, jobs=2)
-        arcs = build_arcs(corpus, graded_lex, jobs=2)
+        shapes = build_shapes(corpus, graded_lex, jobs=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     texts = sum(sys.getsizeof(story.text) for story in corpus)
-    assert len(records) == len(arcs) == len(corpus)
+    assert len(records) == len(shapes) == len(corpus)
     assert texts > 2_000_000 and peak < texts / 4, (peak, texts)
 
 
@@ -536,7 +550,26 @@ def test_pool_main_process_holds_no_corpus_in_a_subprocess(tmp_path, method):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("build", [analyze_corpus, build_arcs], ids=["analyze", "build_arcs"])
+def test_shape_pool_main_process_holds_no_arc(tmp_path, graded_lex, jobs):
+    # each arc is reduced to its 100-point shape where it is built, so
+    # this process holds shapes only, never the arcs, at any jobs
+    for i in range(64):
+        write_story(tmp_path, f"s{i:02d}", fgn_token_text(0.5 + 0.05 * (i % 8), 2048, seed=i))
+    corpus = load_corpus(tmp_path)
+    tracemalloc.start()
+    try:
+        built = build_shapes(corpus, graded_lex, 0.05, jobs=jobs)
+        labels, _ = cluster_arcs({s.id: shape for s, (_, shape) in zip(corpus, built)}, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arcs = sum(2 * 8 * n_tokens for n_tokens, _ in built)  # raw and smooth
+    assert len(labels) == len(corpus)
+    assert arcs > 2_000_000 and peak < arcs / 4, (peak, arcs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("build", [analyze_corpus, build_shapes], ids=["analyze", "build_shapes"])
 @pytest.mark.parametrize("fault", ["deleted", "not_utf8"])
 def test_story_file_changed_after_load_fails_the_run(tmp_path, graded_lex, fault, build, jobs):
     # 8 stories make two chunks of four, so jobs=2 starts two workers
@@ -556,18 +589,17 @@ def test_story_file_changed_after_load_fails_the_run(tmp_path, graded_lex, fault
 
 _SPAWNED_POOL = """
 import multiprocessing, sys
-from sentarc import analyze_corpus, arc_from_text, build_arcs, load_corpus, load_lexicon
+from sentarc import analyze_corpus, arc_from_text, build_shapes, cluster_shape, load_corpus, load_lexicon
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     corpus, lexicon = load_corpus(sys.argv[1]), load_lexicon(sys.argv[2])
     assert analyze_corpus(corpus, lexicon, jobs=2) == analyze_corpus(corpus, lexicon, jobs=1)
-    parallel, serial = (build_arcs(corpus, lexicon, 0.05, jobs=jobs) for jobs in (2, 1))
+    parallel, serial = (build_shapes(corpus, lexicon, 0.05, jobs=jobs) for jobs in (2, 1))
     for story, a, b in zip(corpus, parallel, serial, strict=True):
         want = arc_from_text(story.text, lexicon, 0.05)
-        assert (a.n_tokens, a.coverage) == (b.n_tokens, b.coverage) == (want.n_tokens, want.coverage)
-        assert a.raw.tobytes() == b.raw.tobytes() == want.raw.tobytes()
-        assert a.smooth.tobytes() == b.smooth.tobytes() == want.smooth.tobytes()
+        assert a[0] == b[0] == want.n_tokens
+        assert a[1].tobytes() == b[1].tobytes() == cluster_shape(want).tobytes()
 """
 
 

@@ -103,26 +103,38 @@ def test_same_bytes_waives_only_the_named_rewording(tmp_path, capsys):
     assert capsys.readouterr().out == "waived: sentarc --help: a reworded summary\n"
 
 
-@pytest.mark.parametrize(
-    "old, new, shown",
-    [
-        ('"%s: duplicate id %r, skipped"', '"%s: duplicate id %r, dropped"', "duplicate id"),
-        ('log.warning("%s, skipped", exc)', 'log.warning("%s, dropped", exc)', "latin1.txt"),
-    ],
-    ids=["nfc-duplicate", "not-utf8"],
+# the run whose stderr first differs: `analyze` on the corpus with a file
+# that is not UTF-8 and two stems equal in NFC, or `cluster` on the study
+# corpus, whose empty story is too short to cluster
+SKIPS_RUN = r"^seed 0: sentarc analyze --corpus \S+/skips .*\n  stderr:\d+: parent b.WARNING: "
+STUDY_CLUSTER_RUN = (
+    r"^seed 0: sentarc cluster --corpus \S+/study/corpus .* --jobs 1 .*\n  stderr:\d+: parent b.WARNING: "
 )
-def test_same_bytes_compares_the_corpus_skip_warnings(tmp_path, capsys, old, new, shown):
-    # the matrix's corpus holds a file that is not UTF-8 and two stems
-    # equal in NFC, so a reworded skip warning is caught in stderr
+
+
+@pytest.mark.parametrize(
+    "module, old, new, run, shown",
+    [
+        ("corpus", '"%s: duplicate id %r, skipped"', '"%s: duplicate id %r, dropped"', SKIPS_RUN,
+         "duplicate id"),
+        ("corpus", 'log.warning("%s, skipped", exc)', 'log.warning("%s, dropped", exc)', SKIPS_RUN,
+         "latin1.txt"),
+        ("cli", "too short to cluster, skipped", "too short to cluster, dropped", STUDY_CLUSTER_RUN,
+         "0 tokens, too short to cluster, skipped"),
+    ],
+    ids=["nfc-duplicate", "not-utf8", "cluster-too-short"],
+)
+def test_same_bytes_compares_the_corpus_skip_warnings(tmp_path, capsys, module, old, new, run, shown):
+    # the matrix's corpora hold stories that are skipped with a warning,
+    # so a reworded skip warning is caught in stderr
     parent = Path(sentarc.__file__).parents[1]
     src = tmp_path / "src"
     shutil.copytree(parent, src, ignore=shutil.ignore_patterns("__pycache__"))
-    corpus = src / "sentarc" / "corpus.py"
-    text = corpus.read_text()
+    source = src / "sentarc" / f"{module}.py"
+    text = source.read_text()
     assert text.count(old) == 1
-    corpus.write_text(text.replace(old, new))
+    source.write_text(text.replace(old, new))
     assert same_bytes.main([str(parent), str(src), "--seeds", "0"], sizes=SMALL) == 1
     out = capsys.readouterr().out
-    skips_run = r"^seed 0: sentarc analyze --corpus \S+/skips .*\n  stderr:\d+: parent b.WARNING: "
-    assert re.search(skips_run, out, re.MULTILINE), out
+    assert re.search(run, out, re.MULTILINE), out
     assert shown in out

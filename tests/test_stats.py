@@ -475,6 +475,21 @@ def test_dcor_memory_stays_linear():
     assert peak_bytes(distance_correlation, x, y) < 64 * 2**20
 
 
+def test_dcor_products_hold_two_row_blocks():
+    """a·a goes where b is built next, a·b into a and b·b into b: two
+    block buffers, where a, b and each product temporary made three."""
+    rng = np.random.default_rng(14)
+    n = 2000
+    xa, ya = stats_mod._validated_pair(rng.normal(size=n), rng.lognormal(size=n))
+    blocks = stats_mod._row_blocks(n)
+    assert len(blocks) > 4
+    x_center = stats_mod._distance_centering(xa, blocks)
+    y_center = stats_mod._distance_centering(ya, blocks)
+    block = blocks[0].stop * n * 8
+    peak = peak_bytes(stats_mod._centered_products, xa, x_center, ya, y_center, blocks)
+    assert peak < 2.5 * block, peak / block
+
+
 @pytest.mark.parametrize("cells", [1, 8])
 def test_dcor_row_blocks_match_oracles(monkeypatch, cells):
     """Several row blocks at small n. A draw equal to the observed value in
