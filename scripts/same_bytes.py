@@ -23,13 +23,21 @@ fresh `python -m sentarc` processes, once with each tree on PYTHONPATH
 - `arc STORY --windows-out`, once to files and once to stdout;
 - `hurst STORY --points-out`;
 - `synth`, then `hurst --series --points-out -`, for each long-series pair;
+- the refusals of an output: `synth --out` in a missing directory and
+  onto an existing directory, `analyze --out` an existing file, and
+  `hurst --out` and `--points-out` naming one file;
+- `analyze` on an empty corpus with a new `--out new/deeper`, which fails
+  after its outputs are opened, so that the listing below shows what the
+  failure left;
 - with the first seed, every `--help`, `--version` and a missing input.
 
 Every command runs with COLUMNS=80, so `--help` wraps alike on every host.
 After each command the two runs are compared: exit code, stdout, stderr
 (each with its run directory replaced by `<run>`) and every file the
-command writes, byte for byte. The first difference is printed with its
-line and the script exits 1; it exits 0 when every command matches.
+command writes, byte for byte. Once all have run, the two run
+directories must list the same files. The first difference is printed
+with its line and the script exits 1; it exits 0 when every command
+matches.
 
 An intended difference is named in WAIVERS, and each use of a waiver is
 printed as `waived: ...`.
@@ -135,6 +143,21 @@ def matrix(seed: int, root: Path, sizes: dict) -> list[tuple[list[str], list[str
               "--out", series], [series]),
             (["hurst", "--series", series, "--points-out", "-"], []),
         ]
+    directory, file, empty = root / "a-directory", root / "a-file", root / "empty-corpus"
+    directory.mkdir()
+    file.write_text("old bytes\n")
+    empty.mkdir()
+    short = root / "short-series.csv"
+    short.write_text("".join(f"{i}\n" for i in range(200)))
+    synth = ["synth", "--h", "0.7", "--n", "64", "--out"]
+    commands += [
+        ([*synth, "missing/x.csv"], []),
+        ([*synth, str(directory)], []),
+        ([*analyze, "--out", str(file)], []),
+        (["hurst", "--series", str(short), "--out", "x.json", "--points-out", "x.json"], []),
+        (["analyze", "--corpus", str(empty), *lexicon, "--ratings", str(study.ratings),
+          "--out", "new/deeper"], []),
+    ]
     return commands
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import logging
 import os
 import stat
@@ -47,27 +46,46 @@ class _Parser(argparse.ArgumentParser):
 ANALYZE_FILES = ("results.csv", "scatter.csv", "ratings_scatter.csv", "report.json")
 
 
-def _write_outputs(outputs) -> None:
-    """Write a command's (path, writer) pairs: each writer writes to its
-    path's text sink, stdout for `-`; a None path is an output not asked for.
+def _outputs(args) -> list:
+    """Each output of `args`' command, in the order its `_cmd_*` yields the
+    writers, as (label, argument, path): a file flag's `--name`, its path
+    and its path again, or for `analyze` each of ANALYZE_FILES under
+    --out, labelled by its path. `path` is None for an output not asked
+    for."""
+    if args.command == "analyze":
+        paths = (os.path.join(args.out, name) for name in ANALYZE_FILES)
+        return [(path, args.out, path) for path in paths]
+    paths = {flag: getattr(args, flag) for flag in ("out", "windows_out", "points_out", "tree_out")
+             if hasattr(args, flag)}
+    return [("--" + flag.replace("_", "-"), path, path) for flag, path in paths.items()]
 
-    Every sink is opened before the first writer runs. A new or regular
-    file goes to a temporary file in its resolved directory, made if it is
-    missing, with the mode `open(path, "w")` gives. The temporary files
-    are renamed over their targets only after the last writer has run; a
-    failure before that removes every one and leaves each old file as it
-    was. Symlinks and other existing paths that are not regular files,
-    such as /dev/null, /dev/stdout or a FIFO, are written in place.
+
+@contextlib.contextmanager
+def _staged(outputs):
+    """Open a text sink for each (label, argument, path) of `outputs` and
+    yield them in order: None for a path not asked for, stdout for `-`.
+
+    An existing path that is not a regular file, such as /dev/null or a
+    FIFO, is opened in place. Any other goes to a temporary file in the
+    directory of its resolved path, with the mode `open(path, "w")` gives;
+    an argument that is not the path itself, `analyze --out`, has its
+    missing directories made. The temporary files replace their targets
+    in order once the body has run; a failure before then removes every
+    one and every directory made, and leaves each old file as it was.
+
+    The OS judges every output before the body runs: one it refuses, or
+    one whose target an earlier output is staged at, raises SentarcError
+    naming the file opened in place, or else the argument.
     """
-    staged = []  # (temporary file, target), renamed in order after the writers
+    staged = []  # (temporary file, target), renamed in order after the body
+    made = []  # directories made, removed deepest first unless the body ran
+    labels = {}  # the label of the output staged at each target
     try:
         with contextlib.ExitStack() as stack:
-            writes = []
-            for path, write in outputs:
-                if path is None:
-                    continue
-                if path == "-":
-                    writes.append((write, sys.stdout))
+            sinks = []
+            for label, argument, path in outputs:
+                if path is None or path == "-":
+                    sinks.append(None if path is None else sys.stdout)
                     continue
                 try:
                     mode = os.stat(path).st_mode
@@ -75,63 +93,48 @@ def _write_outputs(outputs) -> None:
                     umask = os.umask(0)
                     os.umask(umask)
                     mode = stat.S_IFREG | (0o666 & ~umask)
-                if os.path.islink(path) or not stat.S_ISREG(mode):
-                    sink = open(path, "w", encoding="utf-8", newline="")
-                    writes.append((write, stack.enter_context(sink)))
+                except OSError as exc:
+                    raise SentarcError(f"cannot write {argument}: {exc.strerror}") from None
+                if not stat.S_ISREG(mode):
+                    try:
+                        sink = open(path, "w", encoding="utf-8", newline="")
+                    except OSError as exc:
+                        raise SentarcError(f"cannot write {path}: {exc.strerror}") from None
+                    sinks.append(stack.enter_context(sink))
                     continue
                 target = os.path.realpath(path)
+                if target in labels:
+                    raise SentarcError(
+                        f"{labels[target]} and {label} both name {path}: "
+                        "the second would replace the first"
+                    )
+                labels[target] = label
                 directory, name = os.path.split(target)
+                parent, missing = directory, []
+                while argument != path and not os.path.lexists(parent):
+                    missing.insert(0, parent)
+                    parent = os.path.dirname(parent)
                 try:
-                    os.makedirs(directory, exist_ok=True)
+                    for new in missing:  # from the nearest existing ancestor down
+                        os.mkdir(new)
+                        made.append(new)
                     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
                 except OSError as exc:
-                    exc.filename = path  # name the output, not the temporary file
-                    raise
+                    raise SentarcError(f"cannot write {argument}: {exc.strerror}") from None
                 staged.append((tmp, target))
                 sink = open(fd, "w", encoding="utf-8", newline="")
-                writes.append((write, stack.enter_context(sink)))
+                sinks.append(stack.enter_context(sink))
                 os.chmod(tmp, stat.S_IMODE(mode))
-            for write, sink in writes:
-                write(sink)
+            yield sinks
+        made.clear()  # kept from here on: a rename may already have filled one
         while staged:
             os.replace(*staged[0])
             del staged[0]
     finally:
         for tmp, _ in staged:
             os.unlink(tmp)
-
-
-def _unwritable(path: str, directory: bool) -> str | None:
-    """Why the output `path` cannot be written, as the OS words it, or
-    None. A file output must not be a directory, and a new one needs an
-    existing directory; a `directory` output must be a directory when it
-    exists. A missing output is judged by its resolved path, so a symlink
-    by its target. The write must also be permitted: a file written in
-    place needs write access to itself, a staged file to its directory,
-    and a directory output to itself or, when it is new and
-    `_write_outputs` would make it with its missing parents, to its
-    nearest existing ancestor."""
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    except OSError as exc:
-        return exc.strerror  # a file on the way to it, say
-    if mode is not None and stat.S_ISDIR(mode) != directory:
-        return os.strerror(errno.ENOTDIR if directory else errno.EISDIR)
-    if directory:
-        where, needed = os.path.realpath(path), os.W_OK | os.X_OK
-        while not os.path.exists(where):  # made with its missing parents
-            where = os.path.dirname(where)
-        if not os.path.isdir(where):
-            return os.strerror(errno.ENOTDIR)
-    elif mode is not None and (os.path.islink(path) or not stat.S_ISREG(mode)):
-        where, needed = path, os.W_OK  # written in place
-    else:
-        where, needed = os.path.dirname(os.path.realpath(path)), os.W_OK | os.X_OK
-        if not os.path.isdir(where):
-            return os.strerror(errno.ENOENT)
-    return None if os.access(where, needed) else os.strerror(errno.EACCES)
+        for directory in reversed(made):
+            os.rmdir(directory)
 
 
 def _checked(cast, valid, rule: str):
@@ -226,18 +229,18 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
     )
 
 
-# Each `_cmd_*` reads its inputs and does its work, then yields its outputs
-# as (path, writer) pairs: `path` is None for an output not asked for, and
-# `writer(sink)` writes the output to an open text sink. No command touches
-# its outputs' filesystem: `main` writes the pairs once all are yielded.
+# Each `_cmd_*` reads its inputs and does its work, then yields one
+# writer per output that `_outputs` lists, in that order: `writer(sink)`
+# writes the output to an open text sink. No command touches its outputs'
+# filesystem: `main` opens them all before the command runs.
 
 
 def _cmd_arc(args):
     lexicon = load_lexicon(args.lexicon)
     text = inputs.read_text(args.story)
     series = arc_mod.arc_from_text(text, lexicon, smooth_fraction=args.smooth_fraction)
-    yield args.out, lambda out: serialize.write_arc_csv(series, out)
-    yield args.windows_out, lambda out: serialize.write_window_csv(
+    yield lambda out: serialize.write_arc_csv(series, out)
+    yield lambda out: serialize.write_window_csv(
         arc_mod.window_summary(series, args.window), out
     )
 
@@ -253,8 +256,8 @@ def _cmd_hurst(args):
     else:
         values = serialize.read_series(inputs.read_text(args.series), args.series)
     result = estimate_hurst(values, args.order)
-    yield args.out, lambda out: out.write(serialize.hurst_json(result))
-    yield args.points_out, lambda out: serialize.write_points_csv(result, out)
+    yield lambda out: out.write(serialize.hurst_json(result))
+    yield lambda out: serialize.write_points_csv(result, out)
 
 
 def _cmd_analyze(args):
@@ -286,11 +289,10 @@ def _cmd_analyze(args):
         except SentarcError as exc:
             log.warning("threshold %d skipped: %s", threshold, exc)
 
-    results, scatter, ratings_scatter, report = (os.path.join(args.out, n) for n in ANALYZE_FILES)
-    yield results, lambda out: serialize.write_results_csv(records, out)
-    yield scatter, lambda out: serialize.write_scatter_csv(records, out)
-    yield ratings_scatter, lambda out: serialize.write_ratings_scatter_csv(records, out)
-    yield report, lambda out: out.write(serialize.reports_json(reports))
+    yield lambda out: serialize.write_results_csv(records, out)
+    yield lambda out: serialize.write_scatter_csv(records, out)
+    yield lambda out: serialize.write_ratings_scatter_csv(records, out)
+    yield lambda out: out.write(serialize.reports_json(reports))
 
 
 def _cmd_correlate(args):
@@ -310,7 +312,7 @@ def _cmd_correlate(args):
             )
         except SentarcError as exc:
             raise SentarcError(f"threshold {threshold}: {exc}") from exc
-    yield args.out, lambda out: out.write(serialize.reports_json(reports))
+    yield lambda out: out.write(serialize.reports_json(reports))
 
 
 def _cmd_cluster(args):
@@ -324,13 +326,13 @@ def _cmd_cluster(args):
             continue
         shapes[story.id] = shape
     labels, merges = arc_mod.cluster_arcs(shapes, args.k)
-    yield args.out, lambda out: serialize.write_labels_csv(labels, out)
-    yield args.tree_out, lambda out: serialize.write_merges_csv(merges, out)
+    yield lambda out: serialize.write_labels_csv(labels, out)
+    yield lambda out: serialize.write_merges_csv(merges, out)
 
 
 def _cmd_synth(args):
     values = fgn(SynthSpec(target_h=args.h, n=args.n, seed=args.seed))
-    yield args.out, lambda out: serialize.write_series_csv(values, out)
+    yield lambda out: serialize.write_series_csv(values, out)
 
 
 def build_parser() -> _Parser:
@@ -518,25 +520,10 @@ def main(argv=None) -> int:
         inputs_named = ("story", "series", "lexicon", "ratings", "mapping", "results")
         if sum(getattr(args, name, None) == "-" for name in inputs_named) > 1:
             raise SentarcError("at most one input may be -: stdin can be read only once")
-        files = {}
-        for name in ("out", "windows_out", "points_out", "tree_out"):
-            path = getattr(args, name, None)
-            if path in (None, "-"):
-                continue
-            if reason := _unwritable(path, directory=args.command == "analyze"):
-                raise SentarcError(f"cannot write {path}: {reason}")
-            # a device such as /dev/null takes any number of writes
-            if os.path.exists(path) and not os.path.isfile(path):
-                continue
-            first = files.setdefault(os.path.realpath(path), name)
-            if first != name:
-                flags = " and ".join("--" + n.replace("_", "-") for n in (first, name))
-                raise SentarcError(f"{flags} both name {path}: the second would replace the first")
-        if args.command == "analyze" and os.path.isdir(args.out):
-            for path in (os.path.join(args.out, name) for name in ANALYZE_FILES):
-                if reason := _unwritable(path, directory=False):
-                    raise SentarcError(f"cannot write {path}: {reason}")
-        _write_outputs(list(args.func(args)))
+        with _staged(_outputs(args)) as sinks:
+            for sink, write in zip(sinks, args.func(args), strict=True):
+                if sink is not None:
+                    write(sink)
         return 0
     except (SentarcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

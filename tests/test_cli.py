@@ -43,7 +43,7 @@ from sentarc import (
 from sentarc import cli as cli_mod
 from sentarc import corpus as corpus_mod
 from sentarc import inputs, serialize
-from sentarc.cli import _write_outputs, build_parser, main
+from sentarc.cli import build_parser, main
 from sentarc.errors import SentarcError
 from sentarc.lexicon import load_lexicon
 
@@ -684,6 +684,14 @@ def test_failed_last_write_keeps_every_old_file(
 # ----------------------------------------------------------------- outputs
 
 
+def write_staged(outputs):
+    """Write each (path, writer) of `outputs` through `cli._staged`, as
+    `main` writes a file flag's output."""
+    with cli_mod._staged([(str(path), str(path), str(path)) for path, _ in outputs]) as sinks:
+        for sink, (_, write) in zip(sinks, outputs, strict=True):
+            write(sink)
+
+
 def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("old bytes\n")
@@ -693,7 +701,7 @@ def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
         raise RuntimeError("crash mid-write")
 
     with pytest.raises(RuntimeError):
-        _write_outputs([(target, crash)])
+        write_staged([(target, crash)])
     assert target.read_text() == "old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -701,11 +709,11 @@ def test_open_out_failure_leaves_target_and_no_temporary(tmp_path):
 def test_open_out_mode_matches_plain_open(tmp_path):
     old_umask = os.umask(0o027)
     try:
-        _write_outputs([(tmp_path / "new.csv", lambda fh: fh.write("x\n"))])
+        write_staged([(tmp_path / "new.csv", lambda fh: fh.write("x\n"))])
         existing = tmp_path / "existing.csv"
         existing.write_text("old\n")
         existing.chmod(0o604)
-        _write_outputs([(existing, lambda fh: fh.write("new\n"))])
+        write_staged([(existing, lambda fh: fh.write("new\n"))])
     finally:
         os.umask(old_umask)
     assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
@@ -718,7 +726,7 @@ def test_open_out_writes_through_a_symlink(tmp_path):
     real.write_text("old\n")
     link = tmp_path / "link.csv"
     link.symlink_to(real)
-    _write_outputs([(link, lambda fh: fh.write("new\n"))])
+    write_staged([(link, lambda fh: fh.write("new\n"))])
     assert link.is_symlink()
     assert real.read_text() == "new\n"
 
@@ -738,9 +746,9 @@ def test_open_out_failed_second_temporary_leaves_no_first(tmp_path, monkeypatch)
     def body(fh):
         raise AssertionError("the body ran")
 
-    with pytest.raises(OSError) as raised:
-        _write_outputs([(tmp_path / "first.csv", body), (tmp_path / "second.csv", body)])
-    assert raised.value.filename == tmp_path / "second.csv"
+    with pytest.raises(SentarcError) as raised:
+        write_staged([(tmp_path / "first.csv", body), (tmp_path / "second.csv", body)])
+    assert str(raised.value) == f"cannot write {tmp_path / 'second.csv'}: {os.strerror(errno.ENOSPC)}"
     assert [p.name for p in tmp_path.iterdir()] == ["second.csv"]
     assert (tmp_path / "second.csv").read_text() == "old bytes\n"
 
@@ -902,38 +910,172 @@ def test_no_command_touches_the_filesystem_before_main_writes(
     assert written == sorted(cli_mod.ANALYZE_FILES)
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root ignores mode bits"
-)
-@pytest.mark.parametrize("command", ["synth", "analyze", "analyze_new"])
-def test_output_in_read_only_directory_exit_1_before_the_work(
-    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, command
+def test_analyze_files_naming_one_file_exit_1(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch
+):
+    # results.csv links to scatter.csv, so the scatter table would replace
+    # the results table
+    corpus, ratings = small_corpus
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "scatter.csv").write_text("old bytes\n")
+    (out_dir / "results.csv").symlink_to("scatter.csv")
+
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli_mod, "load_lexicon", read)
+    monkeypatch.setattr(corpus_mod, "load_corpus", read)
+    code, out, err = run_cli(
+        ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+         "--ratings", str(ratings), "--out", str(out_dir)],
+        capsys,
+    )
+    results, scatter = out_dir / "results.csv", out_dir / "scatter.csv"
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {results} and {scatter} both name {scatter}: the second would replace the first\n"
+    )
+    assert sorted(p.name for p in out_dir.iterdir()) == ["results.csv", "scatter.csv"]
+    assert results.is_symlink()
+    assert scatter.read_text() == "old bytes\n"
+
+
+def test_failed_writer_leaves_a_symlinked_output_whole(tmp_path, capsys, monkeypatch):
+    series = tmp_path / "series.csv"
+    series.write_text("\n".join(map(str, range(200))) + "\n")
+    real = tmp_path / "real.json"
+    real.write_text("old bytes\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+
+    def fail(result, out):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(serialize, "write_points_csv", fail)
+    code, _, err = run_cli(
+        ["hurst", "--series", str(series), "--out", str(link),
+         "--points-out", str(tmp_path / "points.csv")],
+        capsys,
+    )
+    assert (code, err) == (1, "error: disk full\n")
+    assert link.is_symlink()
+    assert real.read_text() == "old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json", "series.csv"]
+
+
+@pytest.mark.parametrize("failure", ["work", "fourth-file"])
+def test_failed_analyze_leaves_no_new_out_directory(
+    tmp_path, lexicon_path, small_corpus, capsys, monkeypatch, failure
 ):
     corpus, ratings = small_corpus
-    read_only = tmp_path / "ro"
-    read_only.mkdir()
-    read_only.chmod(0o555)
+    out_dir = tmp_path / "new" / "deeper"
+    if failure == "work":
+        def fail(*args, **kwargs):
+            raise SentarcError("the work failed")
+
+        monkeypatch.setattr(corpus_mod, "analyze_corpus", fail)
+        expected = "error: the work failed\n"
+    else:
+        mkstemp = tempfile.mkstemp
+        calls = []
+
+        def fail_fourth_mkstemp(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == len(cli_mod.ANALYZE_FILES):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", fail_fourth_mkstemp)
+        expected = f"error: cannot write {out_dir}: {os.strerror(errno.ENOSPC)}\n"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, _, err = run_cli(
+        ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+         "--ratings", str(ratings), "--jobs", "1", "--out", str(out_dir)],
+        capsys,
+    )
+    assert (code, err) == (1, expected)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_analyze_out_in_the_corpus_writes_the_same_results(
+    tmp_path, lexicon_path, small_corpus, capsys
+):
+    # the temporary files, present while the corpus is read, are not stories
+    corpus, ratings = small_corpus
+    argv = ["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+            "--ratings", str(ratings), "--jobs", "1", "--out"]
+    assert run_cli([*argv, str(tmp_path / "apart")], capsys)[0] == 0
+    assert run_cli([*argv, str(corpus)], capsys)[0] == 0
+    for name in cli_mod.ANALYZE_FILES:
+        assert (corpus / name).read_bytes() == (tmp_path / "apart" / name).read_bytes()
+
+
+def run_cli_unprivileged(argv, capsys):
+    """run_cli, but as root, which passes every mode check, in a forked
+    child dropped to uid and gid 65534. The child is not exec'd, since
+    that uid may not reach the interpreter; it sends its exit code and
+    streams back through a pipe."""
+    if os.geteuid() != 0:
+        return run_cli(argv, capsys)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "w") as pipe:
+                try:
+                    os.setgroups([])
+                    os.setgid(65534)
+                    os.setuid(65534)
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    json.dump([code, out.getvalue(), err.getvalue()], pipe)
+                except Exception as exc:
+                    json.dump([-1, "", f"child failed: {exc!r}"], pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd) as pipe:
+        result = tuple(json.load(pipe))
+    os.waitpid(pid, 0)
+    return result
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid"), reason="POSIX mode bits")
+@pytest.mark.parametrize("command", ["synth", "analyze", "analyze_new"])
+def test_output_in_read_only_directory_exit_1_before_the_work(
+    lexicon_path, small_corpus, capsys, monkeypatch, command
+):
+    corpus, ratings = small_corpus
 
     def spy(*args, **kwargs):
         raise AssertionError("the work ran")
 
     monkeypatch.setattr(cli_mod, "fgn", spy)
     monkeypatch.setattr(corpus_mod, "load_corpus", spy)
-    argv, target = {
-        "synth": (["synth", "--h", "0.7", "--n", "64", "--out"], read_only / "out.csv"),
-        "analyze": (["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
-                     "--ratings", str(ratings), "--out"], read_only),
-        # made with its parents, under the nearest existing directory
-        "analyze_new": (["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
-                         "--ratings", str(ratings), "--out"], read_only / "new" / "deeper"),
-    }[command]
-    try:
-        assert run_cli([*argv, str(target)], capsys) == (
-            1, "", f"error: cannot write {target}: {os.strerror(errno.EACCES)}\n"
-        )
-        assert list(read_only.iterdir()) == []
-    finally:
-        read_only.chmod(0o755)
+    # pytest's basetemp is 0700, which uid 65534 cannot enter
+    with tempfile.TemporaryDirectory() as root:
+        os.chmod(root, 0o755)
+        read_only = Path(root) / "ro"
+        read_only.mkdir()
+        read_only.chmod(0o555)
+        argv, target = {
+            "synth": (["synth", "--h", "0.7", "--n", "64", "--out"], read_only / "out.csv"),
+            "analyze": (["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+                         "--ratings", str(ratings), "--out"], read_only),
+            # made with its parents, under the nearest existing directory
+            "analyze_new": (["analyze", "--corpus", str(corpus), "--lexicon", str(lexicon_path),
+                             "--ratings", str(ratings), "--out"], read_only / "new" / "deeper"),
+        }[command]
+        try:
+            assert run_cli_unprivileged([*argv, str(target)], capsys) == (
+                1, "", f"error: cannot write {target}: {os.strerror(errno.EACCES)}\n"
+            )
+            assert list(read_only.iterdir()) == []
+        finally:
+            read_only.chmod(0o755)
 
 
 # --------------------------------------------------------------- correlate

@@ -138,3 +138,20 @@ def test_same_bytes_compares_the_corpus_skip_warnings(tmp_path, capsys, module, 
     out = capsys.readouterr().out
     assert re.search(run, out, re.MULTILINE), out
     assert shown in out
+
+
+def test_same_bytes_lists_what_a_failed_run_leaves(tmp_path, capsys):
+    # `analyze` on the empty corpus fails after its new --out directory is
+    # made, so a tree that keeps the directory differs in the listing
+    parent = Path(sentarc.__file__).parents[1]
+    src = tmp_path / "src"
+    shutil.copytree(parent, src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "sentarc" / "cli.py"
+    text = cli.read_text()
+    assert text.count("os.rmdir(directory)") == 1
+    cli.write_text(text.replace("os.rmdir(directory)", "pass"))
+    assert same_bytes.main([str(parent), str(src), "--seeds", "0"], sizes=SMALL) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("seed 0: files left in the run directory: parent [")
+    assert "'new/deeper'" in out.split(", change ")[1]
+    assert "'new/deeper'" not in out.split(", change ")[0]
