@@ -26,12 +26,16 @@ fresh `python -m sentarc` processes, once with each tree on PYTHONPATH
 - the refusals of an output: `synth --out` in a missing directory and
   onto an existing directory, `analyze --out` an existing file, and
   `hurst --out` and `--points-out` naming one file;
+- the refusals of the inputs, each with an `--out` file that must not be
+  left behind: `hurst` with no input, `hurst STORY` without --lexicon,
+  `hurst STORY --series S --lexicon L`, and `arc - --lexicon -`;
 - `analyze` on an empty corpus with a new `--out new/deeper`, which fails
   after its outputs are opened, so that the listing below shows what the
   failure left;
 - with the first seed, every `--help`, `--version` and a missing input.
 
-Every command runs with COLUMNS=80, so `--help` wraps alike on every host.
+Every command runs with COLUMNS=80, so `--help` wraps alike on every host,
+and with stdin on /dev/null, so no command waits on a terminal.
 After each command the two runs are compared: exit code, stdout, stderr
 (each with its run directory replaced by `<run>`) and every file the
 command writes, byte for byte. Once all have run, the two run
@@ -155,6 +159,10 @@ def matrix(seed: int, root: Path, sizes: dict) -> list[tuple[list[str], list[str
         ([*synth, str(directory)], []),
         ([*analyze, "--out", str(file)], []),
         (["hurst", "--series", str(short), "--out", "x.json", "--points-out", "x.json"], []),
+        (["hurst", "--out", "x.json"], []),
+        (["hurst", story, "--out", "x.json"], []),
+        (["hurst", story, "--series", str(short), *lexicon, "--out", "x.json"], []),
+        (["arc", "-", "--lexicon", "-", "--out", "x.csv"], []),
         (["analyze", "--corpus", str(empty), *lexicon, "--ratings", str(study.ratings),
           "--out", "new/deeper"], []),
     ]
@@ -168,6 +176,7 @@ def run(argv: list[str], src: Path, cwd: Path) -> tuple[int, bytes, bytes]:
         [sys.executable, "-m", "sentarc", *argv],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+        stdin=subprocess.DEVNULL,
         capture_output=True,
     )
     here = os.fsencode(cwd)

@@ -42,6 +42,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _inputs(args) -> list:
+    """Each input given to `args`' command, in argument order, as
+    (argument, path): `story` or a flag's `--name`; the corpus is a
+    directory. Every rule spanning several inputs is judged here, before
+    any output is opened, and a broken one raises SentarcError: at most
+    one input may be `-`, since stdin can be read only once, and `hurst` reads exactly one of a story and --series,
+    and a story with --lexicon.
+    """
+    names = ("story", "series", "corpus", "lexicon", "ratings", "mapping", "results")
+    given = [(name if name == "story" else "--" + name, getattr(args, name))
+             for name in names if getattr(args, name, None) is not None]
+    if sum(path == "-" for _, path in given) > 1:
+        raise SentarcError("at most one input may be -: stdin can be read only once")
+    if args.command == "hurst":
+        if (args.story is None) == (args.series is None):
+            raise SentarcError("give exactly one of a story file or --series")
+        if args.story is not None and not args.lexicon:
+            raise SentarcError("a story input requires --lexicon")
+    return given
+
+
 #: The files `analyze` writes into --out, in the order it writes them.
 ANALYZE_FILES = ("results.csv", "scatter.csv", "ratings_scatter.csv", "report.json")
 
@@ -231,8 +252,9 @@ def _add_correlation_flags(parser, default_thresholds: str) -> None:
 
 # Each `_cmd_*` reads its inputs and does its work, then yields one
 # writer per output that `_outputs` lists, in that order: `writer(sink)`
-# writes the output to an open text sink. No command touches its outputs'
-# filesystem: `main` opens them all before the command runs.
+# writes the output to an open text sink. No command judges its arguments
+# or touches its outputs' filesystem: `main` has `_inputs` judge them and
+# opens every output before the command runs.
 
 
 def _cmd_arc(args):
@@ -246,11 +268,7 @@ def _cmd_arc(args):
 
 
 def _cmd_hurst(args):
-    if (args.story is None) == (args.series is None):
-        raise SentarcError("give exactly one of a story file or --series")
     if args.story is not None:
-        if not args.lexicon:
-            raise SentarcError("a story input requires --lexicon")
         text = inputs.read_text(args.story)
         values = arc_mod.arc_from_text(text, load_lexicon(args.lexicon)).raw
     else:
@@ -517,9 +535,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        inputs_named = ("story", "series", "lexicon", "ratings", "mapping", "results")
-        if sum(getattr(args, name, None) == "-" for name in inputs_named) > 1:
-            raise SentarcError("at most one input may be -: stdin can be read only once")
+        _inputs(args)
         with _staged(_outputs(args)) as sinks:
             for sink, write in zip(sinks, args.func(args), strict=True):
                 if sink is not None:

@@ -21,6 +21,9 @@ from typing import Iterator
 
 from .errors import SentarcError
 
+# characters `lines` splits per step; each slice runs on to the next line end
+_SLICE_CHARS = 2**20
+
 
 def read_text(path) -> str:
     """The text of the file at `path`, or of stdin when `path` is `-`, in
@@ -39,15 +42,26 @@ def read_text(path) -> str:
     return unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
 
 
-def lines(text: str) -> list[str]:
+def lines(text: str) -> Iterator[str]:
     """The lines of `text` without their ends, and no empty line after a
-    final line end. Only "\\n", "\\r\\n" and "\\r" end a line: U+2028,
-    U+0085 or a form feed, which `str.splitlines` also splits at, stay
-    inside it."""
-    parts = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if parts[-1] == "":
-        parts.pop()
-    return parts
+    final line end, split one slice of about _SLICE_CHARS characters at a
+    time. Only "\\n", "\\r\\n" and "\\r" end a line: U+2028, U+0085 or
+    a form feed, which `str.splitlines` also splits at, stay inside it."""
+    # only "\n" ends a line from here on; replace returns `text` itself
+    # when it holds no CR
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start, end = 0, len(text)
+    while start < end:
+        # past the first line end from the slice's last character on, or
+        # the end of the text when none is left
+        cut = text.find("\n", start + _SLICE_CHARS - 1) + 1 or end
+        parts = text[start:cut].split("\n")
+        if parts[-1] == "":
+            parts.pop()
+        if cut == end:
+            del text  # no longer held while the caller uses the last lines
+        start = cut
+        yield from parts
 
 
 def _nul_free(stream, path):

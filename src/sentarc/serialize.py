@@ -20,15 +20,12 @@ from .afa import MIN_SERIES_LENGTH, AfaResult
 from .arc import Merge, SentimentArc, WindowSummary
 from .corpus import STATUS_DEGENERATE, STATUS_OK, STATUS_TOO_SHORT, StoryRecord
 from .errors import SentarcError
-from .inputs import read_csv_table
+from .inputs import lines, read_csv_table
 from .stats import CorrelationReport
 
 
 # values per formatting call in write_series_csv
 _SERIES_CHUNK = 16384
-# characters split into lines per step in read_series; each slice runs on
-# to the next line end
-_READ_SLICE_CHARS = 2**20
 # a str cell holding one of these is quoted
 _NEEDS_QUOTES = re.compile(r'[,"\r\n\0]').search
 
@@ -97,37 +94,24 @@ def read_series(text: str, path: str) -> np.ndarray:
     other line, a multi-column CSV row included, raises SentarcError as
     "PATH:LINE: expected one numeric column, got 'X'", and a number that
     is not finite as "PATH:LINE: non-finite value 'X'"; the first bad line
-    is the one named.
+    is the one named. Lines end where `inputs.lines` ends them.
     """
-    # only "\n" ends a line from here on (see `inputs.lines`); replace
-    # returns `text` itself when it holds no CR
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
 
     def values():
         isfinite = math.isfinite
-        number = start = 0
-        # one slice of lines at a time, so only a slice's strs are held
-        while start < len(text):
-            # past the first line end from the slice's last character on,
-            # or the end of the text when none is left
-            cut = text.find("\n", start + _READ_SLICE_CHARS - 1) + 1 or len(text)
-            rows = text[start:cut].split("\n")
-            if rows[-1] == "":
-                rows.pop()
-            start = cut
-            # strip() also drops U+001C..U+001F, which float() rejects
-            for number, item in enumerate(map(str.strip, rows), start=number + 1):
-                try:
-                    value = float(item)
-                except ValueError:
-                    if item and number > 1:
-                        raise SentarcError(
-                            f"{path}:{number}: expected one numeric column, got {item!r}"
-                        ) from None
-                    continue
-                if not isfinite(value):
-                    raise SentarcError(f"{path}:{number}: non-finite value {item!r}")
-                yield value
+        # strip() also drops U+001C..U+001F, which float() rejects
+        for number, item in enumerate(map(str.strip, lines(text)), start=1):
+            try:
+                value = float(item)
+            except ValueError:
+                if item and number > 1:
+                    raise SentarcError(
+                        f"{path}:{number}: expected one numeric column, got {item!r}"
+                    ) from None
+                continue
+            if not isfinite(value):
+                raise SentarcError(f"{path}:{number}: non-finite value {item!r}")
+            yield value
 
     return np.fromiter(values(), float)
 

@@ -331,7 +331,7 @@ def test_read_series_matches_line_loop_at_every_slice_cut(
 ):
     # a slice runs from its start to the first line end at or past
     # slice_chars - 1, so at 1 every line is a slice of its own
-    monkeypatch.setattr(serialize, "_READ_SLICE_CHARS", slice_chars)
+    monkeypatch.setattr(inputs, "_SLICE_CHARS", slice_chars)
     assert_read_series_matches_line_loop(tmp_path, text)
 
 
@@ -339,9 +339,9 @@ def test_read_series_matches_line_loop_at_every_slice_cut(
 def test_read_series_names_a_bad_line_just_after_a_slice_cut(tmp_path, end):
     # the first slice ends with the line end at its last character, so the
     # bad line opens the second slice
-    lines_before = serialize._READ_SLICE_CHARS // 4
+    lines_before = inputs._SLICE_CHARS // 4
     text = f"0.5{end}" * lines_before + f"x{end}1{end}"
-    assert text.replace(end, "\n").index("x") == serialize._READ_SLICE_CHARS
+    assert text.replace(end, "\n").index("x") == inputs._SLICE_CHARS
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode("utf-8"))
     with pytest.raises(SentarcError) as got:
@@ -2062,3 +2062,60 @@ def test_stdin_feeds_at_most_one_input(capsys, monkeypatch, argv):
     assert out == ""
     assert "error: at most one input may be -" in err
     assert sys.stdin.buffer.read() == b"good\t0.9\n"
+
+
+# ------------------------------------------------------------------ inputs
+
+
+def run_sentarc(argv, **kwargs):
+    """`python -m sentarc ARGV` in a child process, given 30 s to finish."""
+    return subprocess.run(
+        [sys.executable, "-m", "sentarc", *argv],
+        capture_output=True, env=package_env(), timeout=30, **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["arc", "s.txt", "--out", "o.csv", "--lexicon", "l.tsv"],
+         [("story", "s.txt"), ("--lexicon", "l.tsv")]),
+        (["hurst", "--lexicon", "l.tsv", "s.txt"], [("story", "s.txt"), ("--lexicon", "l.tsv")]),
+        (["hurst", "--lexicon", "l.tsv", "--series", "-"],
+         [("--series", "-"), ("--lexicon", "l.tsv")]),
+        (["hurst", "--series", "s.csv"], [("--series", "s.csv")]),
+        (["analyze", "--out", "o", "--mapping", "m.csv", "--ratings", "r.csv",
+          "--lexicon", "l.tsv", "--corpus", "c"],
+         [("--corpus", "c"), ("--lexicon", "l.tsv"), ("--ratings", "r.csv"),
+          ("--mapping", "m.csv")]),
+        (["analyze", "--ratings", "-", "--lexicon", "l.tsv", "--corpus", "c", "--out", "o"],
+         [("--corpus", "c"), ("--lexicon", "l.tsv"), ("--ratings", "-")]),
+        (["correlate", "--out", "o.json", "--results", "r.csv"], [("--results", "r.csv")]),
+        (["cluster", "--lexicon", "l.tsv", "--k", "2", "--corpus", "c"],
+         [("--corpus", "c"), ("--lexicon", "l.tsv")]),
+        (["synth", "--h", "0.5", "--n", "64", "--out", "s.csv"], []),
+    ],
+    ids=["arc", "hurst-story", "hurst-series-lexicon", "hurst-series", "analyze-mapping",
+         "analyze", "correlate", "cluster", "synth"],
+)
+def test_inputs_lists_each_input_given_in_argument_order(argv, want):
+    assert cli_mod._inputs(build_parser().parse_args(argv)) == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hurst"], "give exactly one of a story file or --series"),
+        (["hurst", "STORY"], "a story input requires --lexicon"),
+    ],
+    ids=["no-input", "story-without-lexicon"],
+)
+def test_hurst_argument_refused_before_a_fifo_output_is_opened(tmp_path, argv, message):
+    # no reader ever opens the FIFO, so opening it to write would block
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    story = write_story(tmp_path, "tale", "good day")
+    argv = [str(story) if arg == "STORY" else arg for arg in argv]
+    proc = run_sentarc([*argv, "--out", str(fifo)], stdin=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", f"error: {message}\n".encode())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "tale.txt"]

@@ -1,11 +1,12 @@
 import io
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentarc import load_id_mapping, load_lexicon, load_ratings
+from sentarc import inputs, load_id_mapping, load_lexicon, load_ratings
 from sentarc.errors import SentarcError
 from sentarc.inputs import lines, read_text
 
@@ -18,7 +19,17 @@ LINE_TEXT = st.text(alphabet=st.sampled_from("ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2
 def test_lines_end_where_the_csv_module_counts(text):
     # a line from newline="" holds no CR or LF but its end
     want = [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
-    assert lines(text) == want
+    assert list(lines(text)) == want
+
+
+@pytest.mark.parametrize("slice_chars", [1, 2, 5])
+@given(text=LINE_TEXT | st.text())
+def test_lines_end_where_the_csv_module_counts_at_every_slice_cut(slice_chars, text):
+    # a slice runs from its start to the first line end at or past
+    # slice_chars - 1, so at 1 every line is a slice of its own
+    want = [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
+    with mock.patch.object(inputs, "_SLICE_CHARS", slice_chars):
+        assert list(lines(text)) == want
 
 
 def test_read_text_drops_one_leading_bom(tmp_path):

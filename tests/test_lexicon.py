@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentarc import Lexicon, SentarcError, load_lexicon, sentiment_series
+from sentarc import Lexicon, SentarcError, inputs, load_lexicon, sentiment_series
 from sentarc.lexicon import NEUTRAL_VALENCE
 
 from conftest import write_lexicon_file
@@ -107,6 +107,24 @@ def test_only_cr_and_lf_end_a_lexicon_line(tmp_path, caplog, separator):
     assert lex.n_rejected == 1
     assert [r.getMessage() for r in caplog.records] == [
         f"{path}:3: malformed lexicon line, rejected"
+    ]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=repr)
+def test_bad_line_just_after_a_slice_cut_named_by_its_number(tmp_path, caplog, end):
+    # the first slice of `inputs.lines` ends with the line end at its last
+    # character, so the bad line opens the second slice
+    lines_before = inputs._SLICE_CHARS // 8
+    text = f"ab\t0.25{end}" * lines_before + f"x{end}cd\t0.75{end}"
+    assert text.replace(end, "\n").index("x") == inputs._SLICE_CHARS
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with caplog.at_level("WARNING"):
+        lex = load_lexicon(path)
+    assert lex.entries == {"ab": 0.25, "cd": 0.75}
+    assert (lex.n_duplicates, lex.n_rejected) == (lines_before - 1, 1)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:{lines_before + 1}: malformed lexicon line, rejected"
     ]
 
 

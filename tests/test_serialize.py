@@ -236,7 +236,7 @@ def tables_breaking_one_rule(draw):
 @given(tables_breaking_one_rule())
 def test_results_csv_rejects_a_row_breaking_one_rule(table):
     text, column = table
-    line = len(lines(text))
+    line = len(list(lines(text)))
     with pytest.raises(SentarcError, match=rf"^results\.csv:{line}: {column}: "):
         read_results_csv(text, "results.csv")
 
