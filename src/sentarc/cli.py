@@ -42,19 +42,52 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _file_of(stream):
+    """The `os.stat` of the file a standard stream reads or writes, or None
+    when it has none: closed, or replaced by one that is no file."""
+    try:
+        return os.fstat(stream.fileno())
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def _inputs(args) -> list:
     """Each input given to `args`' command, in argument order, as
     (argument, path): `story` or a flag's `--name`; the corpus is a
     directory. Every rule spanning several inputs is judged here, before
-    any output is opened, and a broken one raises SentarcError: at most
-    one input may be `-`, since stdin can be read only once, and `hurst` reads exactly one of a story and --series,
+    any output is opened, and a broken one raises SentarcError.
+
+    No two inputs may read one stream, which can be read only once. `-`,
+    stdin, is a stream, and so is a path that `os.stat` says is a FIFO or
+    a socket; two name one stream when they stat as one file, and `-`
+    twice always does. `hurst` reads exactly one of a story and --series,
     and a story with --lexicon.
     """
     names = ("story", "series", "corpus", "lexicon", "ratings", "mapping", "results")
     given = [(name if name == "story" else "--" + name, getattr(args, name))
              for name in names if getattr(args, name, None) is not None]
-    if sum(path == "-" for _, path in given) > 1:
-        raise SentarcError("at most one input may be -: stdin can be read only once")
+    streams = {}  # the first (argument, path) to read each stream
+    for argument, path in given:
+        if path == "-":
+            st = _file_of(sys.stdin)
+            key = "-" if st is None else (st.st_dev, st.st_ino)
+        else:
+            try:
+                st = os.stat(path)
+            except OSError:
+                continue  # its reader names the fault
+            if not (stat.S_ISFIFO(st.st_mode) or stat.S_ISSOCK(st.st_mode)):
+                continue
+            key = st.st_dev, st.st_ino
+        if key in streams:
+            first, first_path = streams[key]
+            if path == first_path == "-":
+                raise SentarcError("at most one input may be -: stdin can be read only once")
+            raise SentarcError(
+                f"{first} and {argument} both name {first_path if path == '-' else path}: "
+                "a stream can be read only once"
+            )
+        streams[key] = argument, path
     if args.command == "hurst":
         if (args.story is None) == (args.series is None):
             raise SentarcError("give exactly one of a story file or --series")
@@ -84,7 +117,8 @@ def _outputs(args) -> list:
 @contextlib.contextmanager
 def _staged(outputs):
     """Open a text sink for each (label, argument, path) of `outputs` and
-    yield them in order: None for a path not asked for, stdout for `-`.
+    yield them in order: None for a path not asked for, stdout for `-` and
+    for a path that is the file stdout writes.
 
     An existing path that is not a regular file, such as /dev/null or a
     FIFO, is opened in place. Any other goes to a temporary file in the
@@ -101,6 +135,7 @@ def _staged(outputs):
     staged = []  # (temporary file, target), renamed in order after the body
     made = []  # directories made, removed deepest first unless the body ran
     labels = {}  # the label of the output staged at each target
+    stdout = _file_of(sys.stdout)
     try:
         with contextlib.ExitStack() as stack:
             sinks = []
@@ -109,13 +144,18 @@ def _staged(outputs):
                     sinks.append(None if path is None else sys.stdout)
                     continue
                 try:
-                    mode = os.stat(path).st_mode
+                    st = os.stat(path)
                 except FileNotFoundError:
                     umask = os.umask(0)
                     os.umask(umask)
                     mode = stat.S_IFREG | (0o666 & ~umask)
                 except OSError as exc:
                     raise SentarcError(f"cannot write {argument}: {exc.strerror}") from None
+                else:
+                    if stdout is not None and os.path.samestat(st, stdout):
+                        sinks.append(sys.stdout)  # as `-`: a shell's >> appends
+                        continue
+                    mode = st.st_mode
                 if not stat.S_ISREG(mode):
                     try:
                         sink = open(path, "w", encoding="utf-8", newline="")

@@ -2119,3 +2119,75 @@ def test_hurst_argument_refused_before_a_fifo_output_is_opened(tmp_path, argv, m
     proc = run_sentarc([*argv, "--out", str(fifo)], stdin=subprocess.DEVNULL)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", f"error: {message}\n".encode())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "tale.txt"]
+
+
+@pytest.mark.parametrize("story", ["-", "/dev/stdin"])
+def test_stdin_pipe_named_by_two_inputs_exit_1(story):
+    # the lexicon would drain the pipe and leave the story empty
+    proc = run_sentarc(["arc", story, "--lexicon", "/dev/stdin"], input=b"good\t0.9\n")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (
+        b"error: story and --lexicon both name /dev/stdin: a stream can be read only once\n"
+    )
+
+
+def test_one_fifo_named_by_two_inputs_exit_1_before_opening_it(tmp_path):
+    # no writer ever opens the FIFO, so opening it to read would block
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    proc = run_sentarc(["arc", str(fifo), "--lexicon", str(fifo)], stdin=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (
+        f"error: story and --lexicon both name {fifo}: a stream can be read only once\n".encode()
+    )
+
+
+def test_two_pipes_feed_two_inputs(tmp_path):
+    lexicon = write_lexicon_file(tmp_path / "lexicon.tsv", ["good\t0.9", "bad\t0.1"])
+    story = write_story(tmp_path, "tale", "a good day, a bad night")
+    want = run_sentarc(["arc", str(story), "--lexicon", str(lexicon)], stdin=subprocess.DEVNULL)
+    assert want.returncode == 0, want.stderr
+    fds = []
+    try:
+        for path in (story, lexicon):
+            read_end, write_end = os.pipe()
+            fds.append(read_end)
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+        proc = run_sentarc(
+            ["arc", f"/dev/fd/{fds[0]}", "--lexicon", f"/dev/fd/{fds[1]}"],
+            stdin=subprocess.DEVNULL, pass_fds=fds,
+        )
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.stdout, b"")
+
+
+@pytest.mark.parametrize("mode, old", [("ab", b"old\n"), ("wb", b"")], ids=[">>", ">"])
+@pytest.mark.parametrize(
+    "argv, dashed",
+    [
+        (["synth", "--h", "0.6", "--n", "64", "--out", "/dev/stdout"],
+         ["synth", "--h", "0.6", "--n", "64"]),
+        (["hurst", "--series", "SERIES", "--out", "/dev/stdout", "--points-out", "/dev/stdout"],
+         ["hurst", "--series", "SERIES", "--points-out", "-"]),
+    ],
+    ids=["synth", "hurst-twice"],
+)
+def test_out_dev_stdout_writes_as_dash(tmp_path, mode, old, argv, dashed):
+    series = tmp_path / "series.csv"
+    series.write_text("".join(f"{v % 7}\n" for v in range(200)))
+    argv, dashed = ([str(series) if a == "SERIES" else a for a in v] for v in (argv, dashed))
+    want = run_sentarc(dashed, stdin=subprocess.DEVNULL)
+    assert want.returncode == 0, want.stderr
+    target = tmp_path / "stdout.csv"
+    target.write_bytes(b"old\n")
+    with open(target, mode) as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sentarc", *argv], stdin=subprocess.DEVNULL, stdout=stdout,
+            stderr=subprocess.PIPE, env=package_env(), timeout=30,
+        )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert target.read_bytes() == old + want.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv", "stdout.csv"]
