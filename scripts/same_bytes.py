@@ -28,7 +28,8 @@ fresh `python -m sentarc` processes, once with each tree on PYTHONPATH
   `hurst --out` and `--points-out` naming one file;
 - the refusals of the inputs, each with an `--out` file that must not be
   left behind: `hurst` with no input, `hurst STORY` without --lexicon,
-  `hurst STORY --series S --lexicon L`, and `arc - --lexicon -`;
+  `hurst STORY --series S --lexicon L`, `hurst --series S --lexicon L`,
+  and `arc - --lexicon -`;
 - `analyze` on an empty corpus with a new `--out new/deeper`, which fails
   after its outputs are opened, so that the listing below shows what the
   failure left;
@@ -162,6 +163,7 @@ def matrix(seed: int, root: Path, sizes: dict) -> list[tuple[list[str], list[str
         (["hurst", "--out", "x.json"], []),
         (["hurst", story, "--out", "x.json"], []),
         (["hurst", story, "--series", str(short), *lexicon, "--out", "x.json"], []),
+        (["hurst", "--series", str(short), *lexicon, "--out", "x.json"], []),
         (["arc", "-", "--lexicon", "-", "--out", "x.csv"], []),
         (["analyze", "--corpus", str(empty), *lexicon, "--ratings", str(study.ratings),
           "--out", "new/deeper"], []),

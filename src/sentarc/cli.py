@@ -57,18 +57,28 @@ def _inputs(args) -> list:
     directory. Every rule spanning several inputs is judged here, before
     any output is opened, and a broken one raises SentarcError.
 
-    No two inputs may read one stream, which can be read only once. `-`,
-    stdin, is a stream, and so is a path that `os.stat` says is a FIFO or
-    a socket; two name one stream when they stat as one file, and `-`
-    twice always does. `hurst` reads exactly one of a story and --series,
-    and a story with --lexicon.
+    `hurst` reads exactly one of a story and --series, and --lexicon with
+    a story and only then, so every input listed is read. `-` needs an
+    open stdin. No two inputs may read one stream, which can be read only
+    once. `-`, stdin, is a stream, and so is a path that `os.stat` says is
+    a FIFO or a socket; two name one stream when they stat as one file,
+    and `-` twice always does.
     """
     names = ("story", "series", "corpus", "lexicon", "ratings", "mapping", "results")
     given = [(name if name == "story" else "--" + name, getattr(args, name))
              for name in names if getattr(args, name, None) is not None]
+    if args.command == "hurst":
+        if (args.story is None) == (args.series is None):
+            raise SentarcError("give exactly one of a story file or --series")
+        if args.story is not None and not args.lexicon:
+            raise SentarcError("a story input requires --lexicon")
+        if args.series is not None and args.lexicon is not None:
+            raise SentarcError("--lexicon is read only with a story input, not with --series")
     streams = {}  # the first (argument, path) to read each stream
     for argument, path in given:
         if path == "-":
+            if sys.stdin is None:
+                raise SentarcError("cannot read -: stdin is closed")
             st = _file_of(sys.stdin)
             key = "-" if st is None else (st.st_dev, st.st_ino)
         else:
@@ -88,11 +98,6 @@ def _inputs(args) -> list:
                 "a stream can be read only once"
             )
         streams[key] = argument, path
-    if args.command == "hurst":
-        if (args.story is None) == (args.series is None):
-            raise SentarcError("give exactly one of a story file or --series")
-        if args.story is not None and not args.lexicon:
-            raise SentarcError("a story input requires --lexicon")
     return given
 
 
@@ -140,8 +145,13 @@ def _staged(outputs):
         with contextlib.ExitStack() as stack:
             sinks = []
             for label, argument, path in outputs:
-                if path is None or path == "-":
-                    sinks.append(None if path is None else sys.stdout)
+                if path is None:
+                    sinks.append(None)
+                    continue
+                if path == "-":
+                    if sys.stdout is None:
+                        raise SentarcError("cannot write -: stdout is closed")
+                    sinks.append(sys.stdout)
                     continue
                 try:
                     st = os.stat(path)
@@ -354,8 +364,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_correlate(args):
-    text = inputs.read_text(args.results)
-    records = serialize.read_results_csv(text, args.results)
+    records = serialize.read_results_csv(inputs.read_text(args.results), args.results)
     thresholds = sorted(set(args.min_ratings if args.min_ratings else [30]))
     reports = []
     for threshold in thresholds:

@@ -29,9 +29,12 @@ def read_text(path) -> str:
     """The text of the file at `path`, or of stdin when `path` is `-`, in
     NFC.
 
-    A missing file raises SentarcError as "no such file: PATH"; any other
-    read or decode failure as "cannot read PATH: reason".
+    A missing file raises SentarcError as "no such file: PATH", a closed
+    stdin as "cannot read -: stdin is closed", and any other read or
+    decode failure as "cannot read PATH: reason".
     """
+    if path == "-" and sys.stdin is None:
+        raise SentarcError("cannot read -: stdin is closed")
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
         text = data.decode("utf-8")

@@ -218,10 +218,14 @@ def kendall_tau(x, y) -> tuple[float, float]:
     return tau, p
 
 
-# Cells per row block of a distance matrix (4 MB of float64): the
-# distance-correlation kernel holds at most two such blocks, never an
-# n x n array.
+# Cells per row block of a distance matrix (4 MB of float64). A sum over
+# the matrix adds its block sums in turn, and each block sum has the bits
+# of one np.sum over the block's cells.
 _DCOR_BLOCK_CELLS = 1 << 19
+
+# Cells per leaf of a block sum (256 KB of float64): the kernel builds only
+# the rows under one leaf at a time, never a whole block.
+_DCOR_LEAF_CELLS = 1 << 15
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -231,12 +235,40 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
-def _block_buffer(n: int, blocks: list[slice]) -> np.ndarray:
-    """Scratch for one row block of `blocks`, the first and largest."""
-    return np.empty((blocks[0].stop, n))
+def _pairwise(start: int, stop: int, leaf):
+    """The np.sum of cells start..stop-1 of a contiguous float64 array,
+    given `leaf(start, stop)`, the np.sum of a run of it.
+
+    numpy's pairwise summation (numpy/_core/src/umath/loops_utils.h.src;
+    Higham 1993, SIAM J. Sci. Comput. 14:783) adds a run of at most 128
+    cells in one loop and splits a longer one at half its length, rounded
+    down to a multiple of 8, adding the halves' sums left + right. Every
+    node of that fixed tree is the np.sum of its own run, so the first
+    nodes of at most _DCOR_LEAF_CELLS cells, joined along the tree, give
+    the root's bits. `leaf` is called on those runs in order, and may
+    return an array of sums, one per array summed."""
+    count = stop - start
+    if count <= max(_DCOR_LEAF_CELLS, 128):
+        return leaf(start, stop)
+    half = count // 2
+    half -= half % 8
+    return _pairwise(start, start + half, leaf) + _pairwise(start + half, stop, leaf)
 
 
-def _distance_block(values: np.ndarray, rows: slice, out: np.ndarray, centering=None) -> np.ndarray:
+def _leaf_span(n: int, start: int, stop: int) -> tuple[slice, slice]:
+    """The rows of an n-column matrix that its flat cells start..stop-1
+    lie in, and where those cells lie in the rows' own flat cells."""
+    rows = slice(start // n, (stop - 1) // n + 1)
+    return rows, slice(start - rows.start * n, stop - rows.start * n)
+
+
+def _leaf_rows(n: int, blocks: list[slice]) -> np.ndarray:
+    """Scratch for the rows of an n-column matrix that one leaf of a block
+    of `blocks` spans: a run of c cells touches at most c // n + 2 rows."""
+    return np.empty((min(blocks[0].stop, max(_DCOR_LEAF_CELLS, 128) // n + 2), n))
+
+
+def _distance_rows(values: np.ndarray, rows: slice, out: np.ndarray, centering=None) -> np.ndarray:
     """Rows `rows` of |v_i - v_j|, written into the leading rows of `out`
     and doubly centered in place by centering = (column means, row means,
     grand mean) when given, in the order d - column - row + grand."""
@@ -252,41 +284,59 @@ def _distance_block(values: np.ndarray, rows: slice, out: np.ndarray, centering=
 
 
 def _distance_centering(values: np.ndarray, blocks: list[slice]):
-    """Column, row and grand means of |v_i - v_j|, one row block at a time.
+    """Column, row and grand means of |v_i - v_j|, one row block at a time,
+    each block summed over its leaves as `_pairwise` describes.
 
-    Row means are taken per row; column sums and the total add up across
-    blocks, so with one block every mean has the bits of the whole-matrix
-    `mean(axis=0)`, `mean(axis=1)` and `mean()`.
+    Row means are taken per row, and a block's column sums add its rows
+    one at a time, in order, from zero, as `sum(axis=0)` over the block
+    does; column sums and the total then add up across blocks. So with
+    one block every mean has the bits of the whole-matrix `mean(axis=0)`,
+    `mean(axis=1)` and `mean()`.
     """
     n = values.size
     col = np.zeros(n)
+    block_col = np.empty(n)
     row = np.empty(n)
+    buf = _leaf_rows(n, blocks)
+
+    def leaf(start, stop):
+        rows, cells = _leaf_span(n, start, stop)
+        d = _distance_rows(values, rows, buf)
+        ended = d[: stop // n - rows.start]  # the rows whose last cell is in this leaf
+        for cells_of_row in ended:
+            np.add(block_col, cells_of_row, out=block_col)
+        row[rows.start : stop // n] = ended.mean(axis=1)
+        return np.sum(d.reshape(-1)[cells])
+
     total = 0.0
-    buf = _block_buffer(n, blocks)
     for rows in blocks:
-        d = _distance_block(values, rows, buf)
-        col += d.sum(axis=0)
-        row[rows] = d.mean(axis=1)
-        total += float(d.sum())
+        block_col.fill(0.0)
+        total += float(_pairwise(rows.start * n, min(rows.stop, n) * n, leaf))
+        col += block_col
     return col / n, row, total / n**2
 
 
 def _centered_products(xa, x_center, ya, y_center, blocks) -> tuple[float, float, float]:
     """mean(a·b), mean(a·a) and mean(b·b) for the doubly-centered distance
-    matrices a of `xa` and b of `ya`, each a sum of row-block sums / n².
+    matrices a of `xa` and b of `ya`, each a sum of row-block sums / n²,
+    the three block sums taken in one walk of the leaves.
 
-    Two block buffers hold every product: a·a goes where b is built next,
+    Two leaf buffers hold every product: a·a goes where b is built next,
     then a·b overwrites a and b·b overwrites b."""
-    ab = aa = bb = 0.0
-    buf_a, buf_b = _block_buffer(xa.size, blocks), _block_buffer(xa.size, blocks)
+    n = xa.size
+    buf_a, buf_b = _leaf_rows(n, blocks), _leaf_rows(n, blocks)
+
+    def leaf(start, stop):
+        rows, cells = _leaf_span(n, start, stop)
+        a = _distance_rows(xa, rows, buf_a, x_center).reshape(-1)[cells]
+        aa = np.sum(np.multiply(a, a, out=buf_b.reshape(-1)[: a.size]))
+        b = _distance_rows(ya, rows, buf_b, y_center).reshape(-1)[cells]
+        return np.array([np.sum(np.multiply(a, b, out=a)), aa, np.sum(np.multiply(b, b, out=b))])
+
+    sums = np.zeros(3)
     for rows in blocks:
-        a = _distance_block(xa, rows, buf_a, x_center)
-        aa += float(np.sum(np.multiply(a, a, out=buf_b[: a.shape[0]])))
-        b = _distance_block(ya, rows, buf_b, y_center)
-        ab += float(np.sum(np.multiply(a, b, out=a)))
-        bb += float(np.sum(np.multiply(b, b, out=b)))
-    n2 = xa.size ** 2
-    return ab / n2, aa / n2, bb / n2
+        sums += _pairwise(rows.start * n, min(rows.stop, n) * n, leaf)
+    return tuple(map(float, sums / n**2))
 
 
 def _dcor_terms(xa: np.ndarray, ya: np.ndarray):
@@ -298,10 +348,13 @@ def _dcor_terms(xa: np.ndarray, ya: np.ndarray):
     distance variance (a constant sequence).
 
     Every mean of a product is a sum over row blocks of at most
-    _DCOR_BLOCK_CELLS cells, divided by n²: O(n) memory beyond the blocks
-    (Székely, Rizzo & Bakirov 2007, Ann. Statist. 35:2769, define the
-    statistic as that double sum). When n² fits in one block, the
-    operations and so the bits are those of the whole n x n matrices.
+    _DCOR_BLOCK_CELLS cells, divided by n² (Székely, Rizzo & Bakirov 2007,
+    Ann. Statist. 35:2769, define the statistic as that double sum). Each
+    block sum is rebuilt from leaves of at most _DCOR_LEAF_CELLS cells
+    along numpy's pairwise tree, so the kernel takes O(n) memory beyond
+    three leaves and keeps the bits of one np.sum per block. When n² fits
+    in one block, the operations and so the bits are those of the whole
+    n x n matrices.
     """
     blocks = _row_blocks(xa.size)
     x_center = _distance_centering(xa, blocks)

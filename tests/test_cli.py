@@ -2050,7 +2050,7 @@ def test_arc_reads_stdin_as_utf8_whatever_its_encoding(tmp_path):
     "argv",
     [
         ["arc", "-", "--lexicon", "-"],
-        ["hurst", "--series", "-", "--lexicon", "-"],
+        ["hurst", "-", "--lexicon", "-"],
         ["analyze", "--corpus", ".", "--lexicon", "-", "--ratings", "-", "--out", "o"],
     ],
 )
@@ -2062,6 +2062,15 @@ def test_stdin_feeds_at_most_one_input(capsys, monkeypatch, argv):
     assert out == ""
     assert "error: at most one input may be -" in err
     assert sys.stdin.buffer.read() == b"good\t0.9\n"
+
+
+def test_series_with_lexicon_refused_before_either_stdin_rule(capsys, monkeypatch):
+    # hurst reads no lexicon with --series, so no input is a second `-`
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1\n2\n")))
+    code, out, err = run_cli(["hurst", "--series", "-", "--lexicon", "-"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --lexicon is read only with a story input, not with --series\n"
+    assert sys.stdin.buffer.read() == b"1\n2\n"
 
 
 # ------------------------------------------------------------------ inputs
@@ -2081,8 +2090,6 @@ def run_sentarc(argv, **kwargs):
         (["arc", "s.txt", "--out", "o.csv", "--lexicon", "l.tsv"],
          [("story", "s.txt"), ("--lexicon", "l.tsv")]),
         (["hurst", "--lexicon", "l.tsv", "s.txt"], [("story", "s.txt"), ("--lexicon", "l.tsv")]),
-        (["hurst", "--lexicon", "l.tsv", "--series", "-"],
-         [("--series", "-"), ("--lexicon", "l.tsv")]),
         (["hurst", "--series", "s.csv"], [("--series", "s.csv")]),
         (["analyze", "--out", "o", "--mapping", "m.csv", "--ratings", "r.csv",
           "--lexicon", "l.tsv", "--corpus", "c"],
@@ -2095,7 +2102,7 @@ def run_sentarc(argv, **kwargs):
          [("--corpus", "c"), ("--lexicon", "l.tsv")]),
         (["synth", "--h", "0.5", "--n", "64", "--out", "s.csv"], []),
     ],
-    ids=["arc", "hurst-story", "hurst-series-lexicon", "hurst-series", "analyze-mapping",
+    ids=["arc", "hurst-story", "hurst-series", "analyze-mapping",
          "analyze", "correlate", "cluster", "synth"],
 )
 def test_inputs_lists_each_input_given_in_argument_order(argv, want):
@@ -2107,8 +2114,10 @@ def test_inputs_lists_each_input_given_in_argument_order(argv, want):
     [
         (["hurst"], "give exactly one of a story file or --series"),
         (["hurst", "STORY"], "a story input requires --lexicon"),
+        (["hurst", "--series", "STORY", "--lexicon", "STORY"],
+         "--lexicon is read only with a story input, not with --series"),
     ],
-    ids=["no-input", "story-without-lexicon"],
+    ids=["no-input", "story-without-lexicon", "series-with-lexicon"],
 )
 def test_hurst_argument_refused_before_a_fifo_output_is_opened(tmp_path, argv, message):
     # no reader ever opens the FIFO, so opening it to write would block
@@ -2191,3 +2200,49 @@ def test_out_dev_stdout_writes_as_dash(tmp_path, mode, old, argv, dashed):
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert target.read_bytes() == old + want.stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv", "stdout.csv"]
+
+
+def run_with_closed(redirect: str, argv, cwd):
+    """`python -m sentarc ARGV` in `cwd`, in a child whose stdin or stdout
+    the shell closed with `redirect`, `<&-` or `>&-`."""
+    return subprocess.run(
+        ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "sentarc", *argv],
+        stdin=subprocess.DEVNULL, capture_output=True, cwd=cwd, env=package_env(), timeout=30,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--h", "0.6", "--n", "64"],
+        ["synth", "--h", "0.6", "--n", "64", "--out", "-"],
+        ["hurst", "--series", "missing.csv", "--points-out", "p.csv"],
+    ],
+    ids=["synth", "synth-out-dash", "hurst-before-the-work"],
+)
+def test_closed_stdout_exit_1_before_the_work(tmp_path, argv):
+    # the output would be lost: Python leaves sys.stdout None
+    proc = run_with_closed(">&-", argv, tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, b"error: cannot write -: stdout is closed\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_closed_stdout_refuses_out_dev_stdout(tmp_path):
+    proc = run_with_closed(">&-", ["synth", "--h", "0.6", "--n", "64", "--out", "/dev/stdout"],
+                           tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: cannot write /dev/stdout: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hurst", "--series", "-"], ["arc", "-", "--lexicon", "lexicon.tsv", "--windows-out", "w.csv"]],
+    ids=["hurst", "arc"],
+)
+def test_closed_stdin_exit_1_before_any_output_is_opened(tmp_path, argv):
+    write_lexicon_file(tmp_path / "lexicon.tsv", ["good\t0.9"])
+    proc = run_with_closed("<&-", [*argv, "--out", "out.txt"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: cannot read -: stdin is closed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.tsv"]

@@ -59,3 +59,10 @@ def test_every_reader_names_a_missing_file_alike(tmp_path, load):
     missing = tmp_path / "missing.csv"
     with pytest.raises(SentarcError, match=f"^no such file: {re.escape(str(missing))}$"):
         load(missing)
+
+
+def test_read_text_refuses_a_closed_stdin(monkeypatch):
+    # Python sets sys.stdin to None when its file descriptor is closed
+    monkeypatch.setattr("sys.stdin", None)
+    with pytest.raises(SentarcError, match="^cannot read -: stdin is closed$"):
+        read_text("-")

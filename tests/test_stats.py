@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sentarc import (
@@ -475,19 +475,21 @@ def test_dcor_memory_stays_linear():
     assert peak_bytes(distance_correlation, x, y) < 64 * 2**20
 
 
-def test_dcor_products_hold_two_row_blocks():
-    """a·a goes where b is built next, a·b into a and b·b into b: two
-    block buffers, where a, b and each product temporary made three."""
+def test_dcor_kernel_holds_leaves_not_row_blocks():
+    """Each walk builds only the rows under one leaf at a time: the products
+    hold two leaf buffers of at most leaf + 2n cells, and the centering
+    one more and its n-cell sums, where two 2¹⁹-cell blocks took 8 MB."""
     rng = np.random.default_rng(14)
     n = 2000
     xa, ya = stats_mod._validated_pair(rng.normal(size=n), rng.lognormal(size=n))
     blocks = stats_mod._row_blocks(n)
     assert len(blocks) > 4
+    bound = (3 * stats_mod._DCOR_LEAF_CELLS + 2 * n) * 8
+    assert peak_bytes(stats_mod._distance_centering, xa, blocks) < bound
     x_center = stats_mod._distance_centering(xa, blocks)
     y_center = stats_mod._distance_centering(ya, blocks)
-    block = blocks[0].stop * n * 8
     peak = peak_bytes(stats_mod._centered_products, xa, x_center, ya, y_center, blocks)
-    assert peak < 2.5 * block, peak / block
+    assert peak < bound, peak / bound
 
 
 @pytest.mark.parametrize("cells", [1, 8])
@@ -502,6 +504,135 @@ def test_dcor_row_blocks_match_oracles(monkeypatch, cells):
         assert abs(distance_correlation(x, y) - dcor_oracle(x, y)) <= 1e-15
         got = distance_correlation_test(x, y, permutations=40, seed=len(x))
         assert got[1] == dcor_test_dense(x, y, permutations=40, seed=len(x))[1]
+
+
+# The blocked kernel as it was before leaves: each row block built whole
+# and summed by one np.sum. The leaf kernel must keep its bits.
+
+
+def _reference_distance_block(values, rows, out, centering=None):
+    head = values[rows]
+    d = np.subtract.outer(head, values, out=out[: head.size])
+    np.abs(d, out=d)
+    if centering is not None:
+        col, row, grand = centering
+        d -= col
+        d -= row[rows, None]
+        d += grand
+    return d
+
+
+def reference_distance_centering(values, blocks):
+    n = values.size
+    col = np.zeros(n)
+    row = np.empty(n)
+    total = 0.0
+    buf = np.empty((blocks[0].stop, n))
+    for rows in blocks:
+        d = _reference_distance_block(values, rows, buf)
+        col += d.sum(axis=0)
+        row[rows] = d.mean(axis=1)
+        total += float(d.sum())
+    return col / n, row, total / n**2
+
+
+def reference_centered_products(xa, x_center, ya, y_center, blocks):
+    ab = aa = bb = 0.0
+    buf_a, buf_b = np.empty((blocks[0].stop, xa.size)), np.empty((blocks[0].stop, xa.size))
+    for rows in blocks:
+        a = _reference_distance_block(xa, rows, buf_a, x_center)
+        aa += float(np.sum(np.multiply(a, a, out=buf_b[: a.shape[0]])))
+        b = _reference_distance_block(ya, rows, buf_b, y_center)
+        ab += float(np.sum(np.multiply(a, b, out=a)))
+        bb += float(np.sum(np.multiply(b, b, out=b)))
+    n2 = xa.size ** 2
+    return ab / n2, aa / n2, bb / n2
+
+
+def _mixed_magnitudes(rng, size):
+    return rng.lognormal(0, 6, size) * rng.choice([-1.0, 1.0], size) + 1e7 * rng.integers(0, 3, size)
+
+
+@pytest.mark.parametrize("leaf", [None, 1, 200])
+@pytest.mark.parametrize(
+    "size",
+    [(1 << 15) - 1, 1 << 15, (1 << 15) + 1, (1 << 16) - 8, (1 << 16) + 8, 3 * (1 << 15) + 5,
+     99_999, (1 << 19) + 7],
+)
+def test_leaf_tree_sum_equals_np_sum(monkeypatch, leaf, size):
+    """numpy's pairwise tree, rebuilt from leaves of the module size or of a
+    tiny one, below numpy's own 128-cell base case."""
+    if leaf is not None:
+        monkeypatch.setattr(stats_mod, "_DCOR_LEAF_CELLS", leaf)
+    a = _mixed_magnitudes(np.random.default_rng(size), size)
+    leaves = []
+
+    def leaf_sum(start, stop):
+        assert stop - start <= max(stats_mod._DCOR_LEAF_CELLS, 128)
+        leaves.append((start, stop))
+        return np.sum(a[start:stop])
+
+    assert stats_mod._pairwise(0, size, leaf_sum) == np.sum(a)
+    assert [start for start, _ in leaves] == [0] + [stop for _, stop in leaves[:-1]]
+
+
+@pytest.mark.parametrize("shape", [(127, 4097), (532, 532), (723, 725), (5, 7)])
+def test_numpy_sums_a_block_as_the_kernel_assumes(shape):
+    """A block's np.sum is the pairwise tree over its flat cells, its
+    sum(axis=0) adds rows in order from zero, and its mean(axis=1) is each
+    row's mean: the orders the leaf kernel rebuilds."""
+    d = np.abs(_mixed_magnitudes(np.random.default_rng(shape[1]), shape[0] * shape[1]))
+    d = d.reshape(shape)
+    flat = d.reshape(-1)
+    assert stats_mod._pairwise(0, flat.size, lambda start, stop: np.sum(flat[start:stop])) == d.sum()
+    columns = np.zeros(shape[1])
+    for row in d:
+        columns += row
+    assert np.array_equal(d.sum(axis=0), columns)
+    assert np.array_equal(d.mean(axis=1), [row.mean() for row in d])
+
+
+def _kernel_input(kind, n, rng):
+    if kind == "ties":
+        return rng.integers(0, 4, n).astype(float), np.round(rng.uniform(1, 5, n))
+    if kind == "offset":
+        return 3e7 + rng.normal(size=n), rng.integers(1, 6, n).astype(float)
+    return np.round(rng.lognormal(0, 1.5, n), 2), rng.lognormal(0, 3, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(3, 1500),
+    kind=st.sampled_from(["ties", "offset", "lognormal"]),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.floats(0.0, 1.0),
+)
+@example(n=724, kind="ties", seed=0, share=0.0)
+@example(n=725, kind="offset", seed=1, share=0.5)
+@example(n=1500, kind="lognormal", seed=2, share=1.0)
+@pytest.mark.parametrize("split", ["module sizes", "small blocks", "tiny leaves"])
+def test_leaf_kernel_keeps_the_bits_of_whole_row_blocks(split, n, kind, seed, share):
+    """Centering and products equal the whole-block kernel's bit for bit,
+    at the module sizes, with three or more blocks at any n, and with
+    leaves of 1 to 3n + 1 cells, so that most leaves hold partial rows at
+    both ends."""
+    x, y = _kernel_input(kind, n, np.random.default_rng(seed))
+    sizes = {
+        "module sizes": {},
+        "small blocks": {"_DCOR_BLOCK_CELLS": 1 + int(share * n * n / 3)},
+        "tiny leaves": {"_DCOR_LEAF_CELLS": 1 + int(share * 3 * n)},
+    }[split]
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in sizes.items():
+            patch.setattr(stats_mod, name, value)
+        blocks = stats_mod._row_blocks(n)
+        centers = [stats_mod._distance_centering(v, blocks) for v in (x, y)]
+        products = stats_mod._centered_products(x, centers[0], y, centers[1], blocks)
+    want = [reference_distance_centering(v, blocks) for v in (x, y)]
+    for got, ref in zip(centers, want):
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+    assert products == reference_centered_products(x, want[0], y, want[1], blocks)
 
 
 def peak_bytes(fn, *args, **kwargs):
