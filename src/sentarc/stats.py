@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
+# scipy.special is reached by attribute, so scipy loads it (about 23 MB) on
+# the first p-value, not when a command or a pool worker imports this module
+import scipy
 
 from .afa import scale_extreme_peak
 
@@ -57,7 +59,7 @@ def _t_test_p(r: float, n: int) -> float:
     if 1.0 - r * r <= 0.0:
         return 0.0
     t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    return 2.0 * float(stdtr(n - 2, -t))
+    return 2.0 * float(scipy.special.stdtr(n - 2, -t))
 
 
 def pearson(x, y) -> tuple[float, float]:

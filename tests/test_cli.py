@@ -1844,6 +1844,63 @@ def test_console_entry_point_runs():
     assert "sentarc" in proc.stdout
 
 
+# Imports a module or runs the CLI in a fresh interpreter, then writes on its
+# last stderr line whether scipy.special was loaded by then.
+SCIPY_SPECIAL_PROBE = """
+import sys
+if sys.argv[1] == "import":
+    __import__(sys.argv[2])
+    code = 0
+else:
+    from sentarc.cli import main
+    code = main(sys.argv[1:])
+print("scipy.special" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "case, loaded",
+    [
+        ("import sentarc", False),
+        ("import sentarc.cli", False),
+        ("import sentarc.corpus", False),  # what a pool worker imports for its task
+        ("arc", False),
+        ("hurst story", False),
+        ("hurst --series", False),
+        ("synth", False),
+        ("cluster", False),
+        ("correlate", True),
+    ],
+)
+def test_scipy_special_loaded_only_for_p_values(
+    tmp_path, lexicon_path, small_corpus, capsys, case, loaded
+):
+    corpus, ratings = small_corpus
+    story = corpus / "alpha.txt"
+    series = tmp_path / "series.csv"
+    series.write_text("\n".join(str(v) for v in np.random.default_rng(3).normal(size=512)))
+    lexicon = ["--lexicon", str(lexicon_path)]
+    if case == "correlate":
+        out_dir = tmp_path / "out"
+        analyze = ["analyze", "--corpus", str(corpus), *lexicon, "--ratings", str(ratings)]
+        assert run_cli([*analyze, "--out", str(out_dir), "--jobs", "1"], capsys)[0] == 0
+    argv = {
+        "arc": ["arc", str(story), *lexicon],
+        "hurst story": ["hurst", str(story), *lexicon],
+        "hurst --series": ["hurst", "--series", str(series)],
+        "synth": ["synth", "--h", "0.7", "--n", "4096", "--seed", "1"],
+        "cluster": ["cluster", "--corpus", str(corpus), *lexicon, "--k", "2", "--jobs", "1"],
+        "correlate": ["correlate", "--results", str(tmp_path / "out" / "results.csv")],
+    }.get(case, case.split())
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_SPECIAL_PROBE, *argv],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(loaded)
+
+
 def test_analyze_byte_identical_reruns(tmp_path, lexicon_path, small_corpus, capsys):
     corpus, ratings = small_corpus
     outputs = []

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -175,6 +176,18 @@ def test_pearson_p_matches_scipy():
         ref = scipy.stats.pearsonr(x, y)
         assert r == pytest.approx(ref.statistic, abs=1e-12)
         assert p == pytest.approx(ref.pvalue, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 30, 532, 5000])
+def test_t_test_p_is_stdtr_bit_for_bit(n):
+    near_one = math.nextafter(1.0, 0.0)
+    for r in [-1.0, -near_one, -0.999999, -0.5, -1e-12, 0.0, 0.3, 0.9, 0.999999, near_one, 1.0]:
+        if abs(r) == 1.0:
+            want = 0.0
+        else:
+            t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
+            want = 2.0 * float(scipy.special.stdtr(n - 2, -t))
+        assert stats_mod._t_test_p(r, n) == want, (r, n)
 
 
 def test_pearson_rejects_constant_input():
